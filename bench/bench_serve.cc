@@ -3,11 +3,10 @@
 // Three experiments against an in-process engine:
 //
 //   1. Slow-client interleaving — M pipelined clients, each pacing its
-//      requests (think time between sends), against (a) the sequential
-//      one-connection-at-a-time accept loop and (b) the epoll event loop.
-//      The sequential server head-of-line blocks every client behind the
-//      first, so its wall clock is ~M x the per-client time; the event loop
-//      overlaps all the think time and should win by ~M.
+//      requests (think time between sends), against the epoll event loop.
+//      The loop overlaps all the think time, so its wall clock should sit
+//      near the ideal per_client x pace of one client alone, not M times it
+//      (a one-connection-at-a-time server pays ~M x).
 //   2. Closed-loop latency — M clients issuing requests back-to-back;
 //      per-request round trips aggregated into p50/p95/p99 and queries/sec.
 //   3. Steady-state allocations — a global operator-new counter measures
@@ -285,10 +284,10 @@ struct ServerHarness {
   void Join() { thread.join(); }
 };
 
-// Starts `sequential ? ServeTcpSequential : ServeTcp` on an ephemeral port
-// in a background thread and blocks until the socket is listening.
-ServerHarness StartServer(Engine* engine, bool sequential,
-                          uint32_t max_connections, uint32_t batch_window_us) {
+// Starts ServeTcp on an ephemeral port in a background thread and blocks
+// until the socket is listening.
+ServerHarness StartServer(Engine* engine, uint32_t max_connections,
+                          uint32_t batch_window_us) {
   ServerHarness h;
   std::atomic<uint16_t> port{0};
   std::atomic<bool> listening{false};
@@ -300,9 +299,8 @@ ServerHarness StartServer(Engine* engine, bool sequential,
     listening.store(true);
   };
   Status* result = &h.result;
-  h.thread = std::thread([engine, sequential, options, result]() {
-    *result = sequential ? ServeTcpSequential(engine, 0, options)
-                         : ServeTcp(engine, 0, options);
+  h.thread = std::thread([engine, options, result]() {
+    *result = ServeTcp(engine, 0, options);
   });
   while (!listening.load()) SleepUs(100);
   h.port = port.load();
@@ -320,9 +318,8 @@ struct BenchNumbers {
   uint32_t clients = 0;
   uint32_t per_client = 0;
   uint32_t pace_us = 0;
-  double sequential_wall_s = 0;
+  double ideal_wall_s = 0;
   double epoll_wall_s = 0;
-  double speedup = 0;
   uint32_t cl_clients = 0;
   uint32_t cl_per_client = 0;
   double cl_wall_s = 0;
@@ -347,17 +344,12 @@ int WriteJson(const BenchNumbers& n, uint32_t nodes, uint64_t edges,
   std::snprintf(
       buf, sizeof(buf),
       "  \"slow_client_interleaving\": {\"clients\": %u, "
-      "\"requests_per_client\": %u, \"pace_us\": %u, \"sequential_wall_s\": "
-      "%.4f, \"epoll_wall_s\": %.4f, \"sequential_qps\": %.1f, \"epoll_qps\": "
-      "%.1f, \"speedup\": %.2f},\n",
-      n.clients, n.per_client, n.pace_us, n.sequential_wall_s, n.epoll_wall_s,
-      n.sequential_wall_s > 0
-          ? static_cast<double>(n.clients) * n.per_client / n.sequential_wall_s
-          : 0.0,
-      n.epoll_wall_s > 0
-          ? static_cast<double>(n.clients) * n.per_client / n.epoll_wall_s
-          : 0.0,
-      n.speedup);
+      "\"requests_per_client\": %u, \"pace_us\": %u, \"ideal_wall_s\": "
+      "%.4f, \"epoll_wall_s\": %.4f, \"epoll_qps\": %.1f, "
+      "\"wall_over_ideal\": %.2f},\n",
+      n.clients, n.per_client, n.pace_us, n.ideal_wall_s, n.epoll_wall_s,
+      static_cast<double>(n.clients) * n.per_client / n.epoll_wall_s,
+      n.epoll_wall_s / n.ideal_wall_s);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"closed_loop\": {\"clients\": %u, \"requests_per_client\": "
@@ -450,7 +442,7 @@ int Main(int argc, char** argv) {
 
   BenchNumbers n;
 
-  // -- Phase 1: slow-client interleaving, sequential vs epoll --------------
+  // -- Phase 1: slow-client interleaving vs the ideal wall time -----------
   n.clients = smoke ? 4 : 6;
   n.per_client = smoke ? 10 : 40;
   n.pace_us = smoke ? 1000 : 2000;
@@ -458,22 +450,9 @@ int Main(int argc, char** argv) {
   for (uint32_t c = 0; c < n.clients; ++c) {
     slow_plans.push_back(MakePlan(c, n.per_client, nodes, true));
   }
+  n.ideal_wall_s = 1e-6 * n.per_client * n.pace_us;
   {
-    ServerHarness seq = StartServer(&engine, /*sequential=*/true, n.clients,
-                                    /*batch_window_us=*/0);
-    std::vector<ClientResult> results;
-    n.sequential_wall_s =
-        RunClients(seq.port, slow_plans, n.pace_us, false, &results);
-    seq.Join();
-    if (n.sequential_wall_s < 0 || !seq.result.ok()) {
-      std::fprintf(stderr, "bench_serve: sequential phase FAILED (%s)\n",
-                   seq.result.ToString().c_str());
-      return 1;
-    }
-  }
-  {
-    ServerHarness ev = StartServer(&engine, /*sequential=*/false, n.clients,
-                                   /*batch_window_us=*/0);
+    ServerHarness ev = StartServer(&engine, n.clients, /*batch_window_us=*/0);
     std::vector<ClientResult> results;
     n.epoll_wall_s =
         RunClients(ev.port, slow_plans, n.pace_us, false, &results);
@@ -484,12 +463,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  n.speedup = n.epoll_wall_s > 0 ? n.sequential_wall_s / n.epoll_wall_s : 0;
   std::printf(
-      "slow-client interleaving: clients=%u x %u, pace=%uus  sequential=%.3fs "
-      "epoll=%.3fs  speedup=%.2fx\n",
-      n.clients, n.per_client, n.pace_us, n.sequential_wall_s, n.epoll_wall_s,
-      n.speedup);
+      "slow-client interleaving: clients=%u x %u, pace=%uus  ideal=%.3fs "
+      "epoll=%.3fs  (%.2fx ideal)\n",
+      n.clients, n.per_client, n.pace_us, n.ideal_wall_s, n.epoll_wall_s,
+      n.epoll_wall_s / n.ideal_wall_s);
 
   // -- Phase 2: closed-loop latency over the event loop --------------------
   n.cl_clients = smoke ? 3 : 6;
@@ -499,7 +477,7 @@ int Main(int argc, char** argv) {
     cl_plans.push_back(MakePlan(c, n.cl_per_client, nodes, true));
   }
   {
-    ServerHarness ev = StartServer(&engine, false, n.cl_clients, 0);
+    ServerHarness ev = StartServer(&engine, n.cl_clients, 0);
     std::vector<ClientResult> results;
     n.cl_wall_s = RunClients(ev.port, cl_plans, 0, true, &results);
     ev.Join();
@@ -538,7 +516,7 @@ int Main(int argc, char** argv) {
     ClientPlan meas = MakePlan(1, n.measured, nodes, false);
     // Rebuild both plans as v1-exact-only streams: kind alternates v1/v2
     // but both are exact, which is what we want.
-    ServerHarness ev = StartServer(&engine, false, 1, 0);
+    ServerHarness ev = StartServer(&engine, 1, 0);
     const int fd = ConnectTo(ev.port);
     if (fd < 0) {
       std::fprintf(stderr, "bench_serve: alloc-phase connect failed\n");

@@ -52,7 +52,6 @@ Result<DynamicIndex> DynamicIndex::Build(const ProbGraph& graph,
       out.index_,
       CascadeIndex::FromWorlds(graph.num_nodes(), std::move(worlds),
                                options.closure_budget_mb,
-                               RebuildClosures::kRebuild,
                                options.tier_policy));
   return out;
 }

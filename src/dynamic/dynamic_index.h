@@ -54,8 +54,10 @@ struct UpdateStats {
 /// budget: affected worlds' closures are recomputed; if the patched total
 /// would exceed the budget the whole cache is dropped (queries fall back to
 /// traversal, byte-identical answers) and stays dropped until a full
-/// rebuild. The serialized index (index/index_io.h) never includes
-/// closures, so rebuild equivalence of the bytes is unaffected.
+/// rebuild. Snapshot bytes (snapshot/writer.h) carry the retained cache,
+/// so byte parity with a fresh build covers it too; a cache dropped here
+/// differs from a fresh build's once the patched total fits the budget
+/// again.
 ///
 /// Thread-safety: none. The service layer serializes updates against
 /// queries (service::Engine holds a shared_mutex); standalone users must do

@@ -72,18 +72,6 @@ ClosureTierPolicy DefaultClosureTierPolicy();
 bool ParseClosureTierPolicy(const char* name, ClosureTierPolicy* out);
 const char* ClosureTierPolicyName(ClosureTierPolicy policy);
 
-/// Whether an index (re)assembly path should recompute the per-world
-/// reachability-closure cache. The cache is derived data: rebuilding it on
-/// every load is correct but costs the full reverse-topological sweep and
-/// charges the load-time memory budget — exactly what snapshot loading must
-/// avoid (the snapshot carries the closures pre-materialized; see
-/// src/snapshot/). kSkip leaves the cache empty (traversal fallback paths,
-/// byte-identical results) unless the caller attaches closures explicitly.
-enum class RebuildClosures {
-  kRebuild,
-  kSkip,
-};
-
 /// Options for index construction.
 struct CascadeIndexOptions {
   /// Number of sampled possible worlds l. Theorem 2: a constant number of
@@ -113,9 +101,8 @@ struct CascadeIndexStats {
   double avg_dag_edges_before = 0.0;
   double avg_dag_edges_after = 0.0;
   /// Estimated resident bytes of the index payload: condensations plus the
-  /// retained reachability cache (closures + labels). Build and FromWorlds
-  /// use one shared accounting, so a saved-then-loaded index reports the
-  /// same approx_bytes it was built with.
+  /// retained reachability cache (closures + labels). Build, FromWorlds and
+  /// FromParts share one accounting.
   uint64_t approx_bytes = 0;
   /// Bytes of the retained materialized closures (0 when none).
   uint64_t closure_bytes = 0;
@@ -200,19 +187,13 @@ class CascadeIndex {
                                     const CascadeIndexOptions& options,
                                     Rng* rng);
 
-  /// Reassembles an index from prebuilt condensations (deserialization path;
-  /// see index/index_io.h). All condensations must cover `num_nodes` nodes.
-  /// The closure cache is derived data and is never serialized by the legacy
-  /// format; with `rebuild == kRebuild` it is recomputed here under
-  /// `closure_budget_mb` (default: same env-driven budget as Build), so
-  /// loaded indexes answer queries at cached speed. Pass kSkip when the
-  /// caller provides closures from elsewhere (snapshot mmap) or wants pure
-  /// traversal paths — the rebuild sweep and its budget charge are skipped
-  /// entirely.
+  /// Assembles an index from prebuilt condensations (the keyed-sampling
+  /// path of src/dynamic/). All condensations must cover `num_nodes` nodes.
+  /// The reachability cache is derived data and is built here under
+  /// `closure_budget_mb` and `tier_policy`, exactly as Build would.
   static Result<CascadeIndex> FromWorlds(
       NodeId num_nodes, std::vector<Condensation> worlds,
       uint64_t closure_budget_mb = DefaultClosureBudgetMb(),
-      RebuildClosures rebuild = RebuildClosures::kRebuild,
       ClosureTierPolicy tier_policy = DefaultClosureTierPolicy());
 
   /// Assembles an index from prebuilt condensations AND prebuilt
@@ -331,7 +312,7 @@ class CascadeIndex {
   /// closure_bytes from the current worlds and closures after a patch
   /// batch. Pre-reduction DAG edge counts are not observable here, so
   /// avg_dag_edges_before is reported equal to the stored count (the same
-  /// convention as FromWorlds).
+  /// convention as FromWorlds and FromParts).
   void RecomputeStats();
 
   /// Validates a query seed set: non-empty, every id < num_nodes(). The
@@ -410,11 +391,17 @@ class CascadeIndex {
   void CascadeInto(std::span<const NodeId> seeds, uint32_t i, Workspace* ws,
                    std::vector<NodeId>* out) const;
 
+  // The assembly step FromWorlds and FromParts share: validates the
+  // condensations, installs them with every world on the traversal tier and
+  // fills the shared stats. Builds no reachability state.
+  static Result<CascadeIndex> AssembleWorlds(NodeId num_nodes,
+                                             std::vector<Condensation> worlds);
+
   // Fills avg_components / avg_dag_edges_after / approx_bytes from worlds_
-  // (one accounting shared by Build and FromWorlds; closure bytes are added
-  // by BuildClosureCache). Leaves avg_dag_edges_before to the caller: only
-  // Build observes pre-reduction edge counts, FromWorlds sets it equal to
-  // the stored (post-reduction) count.
+  // (one accounting shared by every construction path; closure bytes are
+  // added by BuildClosureCache). Leaves avg_dag_edges_before to the caller:
+  // only Build observes pre-reduction edge counts, AssembleWorlds sets it
+  // equal to the stored (post-reduction) count.
   void ComputeSharedStats();
 
   // Assigns every world its storage tier under `budget_bytes` and `policy`

@@ -75,35 +75,49 @@ void ParallelForChunks(
   }
 
   // Static chunk boundaries; threads claim whole chunks via a shared cursor.
-  std::atomic<uint64_t> next_chunk{0};
-  const auto run_chunks = [&] {
-    uint64_t c;
-    while ((c = next_chunk.fetch_add(1, std::memory_order_relaxed)) <
-           num_chunks) {
-      const uint64_t b = begin + c * chunk_size;
-      fn(static_cast<uint32_t>(c), b, std::min(end, b + chunk_size));
+  // The caller waits for finished chunks, not for its helpers: it can run
+  // every chunk alone, so the region completes even when no worker is free
+  // (say, all of them wait on a lock the caller holds). The state is shared
+  // so a helper the pool starts after the caller returned finds no chunk
+  // left and touches nothing on the caller's stack.
+  struct Region {
+    const std::function<void(uint32_t, uint64_t, uint64_t)>* fn;
+    uint64_t begin, end, chunk_size;
+    uint32_t num_chunks;
+    std::atomic<uint64_t> next_chunk{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    uint32_t done = 0;  // finished chunks, guarded by mu
+
+    void RunChunks() {
+      uint32_t ran = 0;
+      uint64_t c;
+      while ((c = next_chunk.fetch_add(1, std::memory_order_relaxed)) <
+             num_chunks) {
+        const uint64_t b = begin + c * chunk_size;
+        (*fn)(static_cast<uint32_t>(c), b, std::min(end, b + chunk_size));
+        ++ran;
+      }
+      if (ran == 0) return;
+      std::lock_guard<std::mutex> lock(mu);
+      done += ran;
+      if (done == num_chunks) cv.notify_one();
     }
   };
-
-  std::mutex mu;
-  std::condition_variable cv;
+  const auto region = std::make_shared<Region>();
+  region->fn = &fn;
+  region->begin = begin;
+  region->end = end;
+  region->chunk_size = chunk_size;
+  region->num_chunks = num_chunks;
   const uint32_t num_helpers =
       std::min<uint32_t>(pool->num_threads(), num_chunks - 1);
-  uint32_t pending = num_helpers;
   for (uint32_t i = 0; i < num_helpers; ++i) {
-    pool->Submit([&] {
-      run_chunks();
-      // Notify under the lock: `cv` lives on the caller's stack, and the
-      // caller may only destroy it after reacquiring `mu` and observing
-      // pending == 0, which cannot happen before this critical section ends.
-      std::lock_guard<std::mutex> lock(mu);
-      --pending;
-      cv.notify_one();
-    });
+    pool->Submit([region] { region->RunChunks(); });
   }
-  run_chunks();  // the calling thread is a full participant
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return pending == 0; });
+  region->RunChunks();  // the calling thread is a full participant
+  std::unique_lock<std::mutex> lock(region->mu);
+  region->cv.wait(lock, [&] { return region->done == num_chunks; });
 }
 
 }  // namespace soi

@@ -46,7 +46,8 @@ uint32_t PlannedChunks(uint64_t range, uint64_t grain);
 /// Runs fn(chunk_index, chunk_begin, chunk_end) over a static partition of
 /// [begin, end) into PlannedChunks(end - begin, grain) contiguous chunks.
 /// Chunk boundaries are fixed up front (static chunking); idle threads pick
-/// up whole chunks, never fractions. Blocks until every chunk has run.
+/// up whole chunks, never fractions. Blocks until every chunk has run, and
+/// never on a busy pool: the caller runs whatever chunks no worker claims.
 /// Nested calls from inside a chunk run inline on the worker.
 void ParallelForChunks(
     uint64_t begin, uint64_t end, uint64_t grain,

@@ -50,42 +50,6 @@ Condensation Condensation::Build(const Csr& world, BumpArena* scratch) {
   return cond;
 }
 
-Result<Condensation> Condensation::FromParts(std::vector<uint32_t> comp_of,
-                                             uint32_t num_components,
-                                             Csr dag) {
-  for (uint32_t c : comp_of) {
-    if (c >= num_components) {
-      return Status::InvalidArgument("comp_of entry exceeds component count");
-    }
-  }
-  if (dag.num_nodes() != num_components) {
-    return Status::InvalidArgument("DAG node count != component count");
-  }
-  for (NodeId t : dag.targets) {
-    if (t >= num_components) {
-      return Status::InvalidArgument("DAG edge target out of range");
-    }
-  }
-  Condensation cond;
-  cond.num_components_ = num_components;
-  cond.comp_of_ = std::move(comp_of);
-  cond.dag_ = std::move(dag);
-
-  const uint32_t n = static_cast<uint32_t>(cond.comp_of_.size());
-  cond.members_.offsets.assign(num_components + 1, 0);
-  cond.members_.targets.resize(n);
-  for (NodeId v = 0; v < n; ++v) ++cond.members_.offsets[cond.comp_of_[v] + 1];
-  for (uint32_t c = 0; c < num_components; ++c) {
-    cond.members_.offsets[c + 1] += cond.members_.offsets[c];
-  }
-  std::vector<uint32_t> cursor(cond.members_.offsets.begin(),
-                               cond.members_.offsets.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    cond.members_.targets[cursor[cond.comp_of_[v]]++] = v;
-  }
-  return cond;
-}
-
 void ReachableComponents(const Condensation& cond, uint32_t start,
                          std::vector<uint32_t>* stamp, uint32_t stamp_id,
                          std::vector<uint32_t>* out) {

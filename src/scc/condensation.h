@@ -18,11 +18,11 @@ namespace soi {
 /// Invariant inherited from TarjanScc: every DAG edge (c, c') satisfies
 /// c' < c, i.e. increasing component id is a reverse topological order.
 ///
-/// Storage is dual-mode: a condensation built by Build()/FromParts() owns
-/// its arrays; one assembled by Borrowed() wraps spans into an external
-/// read-only mapping (see src/snapshot/) with zero copy. Query accessors
-/// dispatch on the mode and answer identically. Build-time mutation
-/// (ReplaceDag, dag()) is owned-mode only.
+/// Storage is dual-mode: a condensation built by Build() owns its arrays;
+/// one assembled by Borrowed() wraps spans into an external read-only
+/// mapping (see src/snapshot/) with zero copy. Query accessors dispatch on
+/// the mode and answer identically. Build-time mutation (ReplaceDag, dag())
+/// is owned-mode only.
 class Condensation {
  public:
   Condensation() = default;
@@ -32,13 +32,6 @@ class Condensation {
   /// member-bucketing cursor; callers condensing many worlds Reset() one
   /// arena between calls (see util/arena.h).
   static Condensation Build(const Csr& world, BumpArena* scratch = nullptr);
-
-  /// Reassembles a condensation from its serialized parts: the node ->
-  /// component map and the (already reduced) DAG. Rebuilds the members CSR.
-  /// Used by index/index_io.h; `comp_of` values must be < num_components and
-  /// `dag` must have num_components nodes.
-  static Result<Condensation> FromParts(std::vector<uint32_t> comp_of,
-                                        uint32_t num_components, Csr dag);
 
   /// Wraps pre-built CSR arrays from an external mapping without copying.
   /// `members_offsets`/`dag_offsets` have num_components+1 entries each;

@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/metrics.h"
 #include "service/event_loop.h"
 
 namespace soi::service {
@@ -137,42 +136,6 @@ Status ServeTcp(const EngineHandle* handle, uint16_t port,
     return Status::InvalidArgument("engine handle must not be null");
   }
   return ServeTcpAny(nullptr, handle, port, options, bound_port);
-}
-
-Status ServeTcpSequential(Engine* engine, uint16_t port,
-                          const ServeOptions& options, uint16_t* bound_port) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  int listen_fd = -1;
-  SOI_RETURN_IF_ERROR(OpenListener(port, options, bound_port, &listen_fd));
-  uint32_t served = 0;
-  while (options.max_connections == 0 || served < options.max_connections) {
-    const int conn_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (conn_fd < 0) {
-      if (errno == EINTR) {
-        if (options.poll) options.poll();
-        continue;
-      }
-      const Status status = Status::IOError(std::string("accept failed: ") +
-                                            std::strerror(errno));
-      ::close(listen_fd);
-      return status;
-    }
-    SOI_OBS_COUNTER_ADD("service/connections", 1);
-    const Status status =
-        ServeStreamImpl(engine, nullptr, conn_fd, conn_fd, options);
-    ::close(conn_fd);
-    ++served;
-    if (options.poll) options.poll();
-    if (!status.ok()) {
-      // One broken connection does not stop the server; log via metrics and
-      // keep accepting.
-      SOI_OBS_COUNTER_ADD("service/connections_failed", 1);
-    }
-  }
-  ::close(listen_fd);
-  return Status::OK();
 }
 
 }  // namespace soi::service

@@ -84,14 +84,6 @@ Status ServeTcp(const EngineHandle* handle, uint16_t port,
                 const ServeOptions& options = {},
                 uint16_t* bound_port = nullptr);
 
-/// The historical one-connection-at-a-time accept loop: each client is
-/// served to completion before the next is accepted, so a slow client
-/// head-of-line blocks everyone behind it. Kept as the comparison baseline
-/// for bench_serve; not used by the CLI.
-Status ServeTcpSequential(Engine* engine, uint16_t port,
-                          const ServeOptions& options = {},
-                          uint16_t* bound_port = nullptr);
-
 }  // namespace soi::service
 
 #endif  // SOI_SERVICE_SERVER_H_

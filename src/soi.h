@@ -25,7 +25,6 @@
 #include "graph/sparsify.h"         // influence-network sparsification
 #include "immunize/vaccination.h"   // data-driven vaccination
 #include "index/cascade_index.h"    // the cascade index (Algorithm 1)
-#include "index/index_io.h"         // index persistence
 #include "infmax/baselines.h"       // degree / random seed selection
 #include "infmax/evaluate.h"        // independent spread evaluation
 #include "infmax/greedy_std.h"      // InfMax_std (fixed-world and MC)

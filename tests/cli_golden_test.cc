@@ -2,7 +2,8 @@
 // artifacts of `index`, `typical`, and `infmax --method tc` at a fixed seed
 // against checked-in goldens (tests/golden/), and asserts the determinism
 // contract the runtime promises — identical output at --threads 1 and
-// --threads 8, with metrics enabled and disabled.
+// --threads 8, with metrics enabled and disabled. The `index` artifact is a
+// soi-snap-v1 snapshot, which `sphere --index` answers from.
 //
 // The binary under test and the fixture directory come in as compile
 // definitions (SOI_CLI_PATH, SOI_GOLDEN_DIR) from tests/CMakeLists.txt.
@@ -11,7 +12,7 @@
 // tests/golden/):
 //   soi_cli gen --config Twitter-S --scale 0.08 --seed 5 --out graph.txt
 //   soi_cli index   --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       --out index.soiidx.golden > index.stdout.raw
+//       --out index.soisnap.golden > index.stdout.raw
 //   sed 's/[0-9]*\.[0-9][0-9]s build/<TIME>s build/' index.stdout.raw \
 //       > index.stdout.golden && rm index.stdout.raw
 //   soi_cli typical --graph graph.txt --worlds 64 --seed 1 --threads 1 \
@@ -84,7 +85,7 @@ std::string GraphFlags() {
 }
 
 TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
-  const std::string out = testing::TempDir() + "cli_golden_index.soiidx";
+  const std::string out = testing::TempDir() + "cli_golden_index.soisnap";
   const CliRun run =
       RunCli("index " + GraphFlags() + " --threads 1 --out '" + out + "'");
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -101,10 +102,11 @@ TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
 }
 
 TEST(CliGoldenTest, IndexArtifactMatchesGoldenAtOneAndEightThreads) {
-  const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
+  const std::string golden =
+      ReadFileOrDie(GoldenPath("index.soisnap.golden"));
   for (const char* threads : {"1", "8"}) {
     const std::string out = testing::TempDir() + "cli_golden_index_t" +
-                            threads + ".soiidx";
+                            threads + ".soisnap";
     const CliRun run = RunCli("index " + GraphFlags() + " --threads " +
                               threads + " --out '" + out + "'");
     ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -115,14 +117,47 @@ TEST(CliGoldenTest, IndexArtifactMatchesGoldenAtOneAndEightThreads) {
 }
 
 TEST(CliGoldenTest, IndexArtifactIdenticalWithMetricsDisabled) {
-  const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
-  const std::string out = testing::TempDir() + "cli_golden_index_nm.soiidx";
+  const std::string golden =
+      ReadFileOrDie(GoldenPath("index.soisnap.golden"));
+  const std::string out = testing::TempDir() + "cli_golden_index_nm.soisnap";
   const CliRun run = RunCli("index " + GraphFlags() +
                             " --threads 1 --no-metrics --out '" + out + "'");
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
   EXPECT_EQ(ReadFileOrDie(out), golden)
       << "--no-metrics changed the index artifact";
   std::remove(out.c_str());
+}
+
+TEST(CliGoldenTest, SphereFromIndexSnapshotMatchesInProcessSphere) {
+  const std::string out = testing::TempDir() + "cli_golden_sphere.soisnap";
+  ASSERT_EQ(RunCli("index " + GraphFlags() + " --threads 1 --out '" + out +
+                   "'").exit_code,
+            0);
+  for (const char* node : {"0", "7", "42", "127"}) {
+    const CliRun built =
+        RunCli("sphere " + GraphFlags() + " --threads 1 --node " + node);
+    const CliRun loaded = RunCli("sphere " + GraphFlags() + " --index '" +
+                                 out + "' --node " + node);
+    ASSERT_EQ(built.exit_code, 0);
+    ASSERT_EQ(loaded.exit_code, 0);
+    EXPECT_EQ(loaded.stdout_text, built.stdout_text) << "node " << node;
+  }
+
+  // The same graph with one probability changed: the snapshot no longer
+  // matches it, so the freshness check refuses to answer.
+  std::string edited = ReadFileOrDie(GoldenPath("graph.txt"));
+  const std::string edge = "126 121 0.177724348";
+  const size_t at = edited.rfind(edge);
+  ASSERT_NE(at, std::string::npos);
+  edited.replace(at, edge.size(), "126 121 0.5");
+  const std::string other = testing::TempDir() + "cli_golden_sphere.txt";
+  std::ofstream(other, std::ios::binary) << edited;
+  const CliRun stale = RunCli("sphere --graph '" + other + "' --index '" +
+                              out + "' --node 0");
+  EXPECT_EQ(stale.exit_code, 1);
+  EXPECT_EQ(stale.stdout_text, "");
+  std::remove(out.c_str());
+  std::remove(other.c_str());
 }
 
 TEST(CliGoldenTest, TypicalStdoutMatchesGoldenAcrossThreadsAndMetrics) {
@@ -223,7 +258,7 @@ double JsonNumberAfter(const std::string& json, const std::string& key,
 }
 
 TEST(CliGoldenTest, MetricsSidecarIsValidAndCoversRuntime) {
-  const std::string out = testing::TempDir() + "cli_golden_cov.soiidx";
+  const std::string out = testing::TempDir() + "cli_golden_cov.soisnap";
   const std::string metrics = testing::TempDir() + "cli_golden_cov.json";
   // More worlds than the golden run so real work dominates process startup
   // and the >= 95% phase-coverage contract is comfortably testable.

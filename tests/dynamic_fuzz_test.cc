@@ -3,7 +3,7 @@
 //
 // The contract under test is *exact rebuild equivalence*: after any
 // sequence of successful update batches, the incrementally maintained
-// engine must be indistinguishable — serialized index bytes, graph
+// engine must be indistinguishable — snapshot bytes of its index, graph
 // fingerprint, and every query answer — from a fresh CreateDynamic engine
 // built from the updated graph with the same options and seed.
 //
@@ -12,7 +12,7 @@
 // cascade / spread / seed_select queries (whose wire-formatted responses
 // form a transcript), and at every ~100-op checkpoint rebuilds from scratch
 // and byte-compares. The whole run executes twice, at 1 and at 8 threads;
-// transcripts and final index bytes must match exactly (the runtime
+// transcripts and final snapshot bytes must match exactly (the runtime
 // determinism contract extends to the update path).
 
 #include <cstdint>
@@ -26,10 +26,10 @@
 
 #include "dynamic/dynamic_graph.h"
 #include "graph/prob_graph.h"
-#include "index/index_io.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
 #include "service/protocol.h"
+#include "snapshot/writer.h"
 #include "util/rng.h"
 
 namespace soi::service {
@@ -168,9 +168,17 @@ std::string ProbeQueries(Engine* engine, uint64_t salt) {
   return out;
 }
 
+// Snapshot bytes of `engine`'s index over `graph`: the condensations plus
+// the retained closures, labels and tier table.
+std::string IndexBytes(const ProbGraph& graph, const Engine& engine) {
+  auto bytes = SerializeSnapshot(graph, engine.index());
+  SOI_CHECK(bytes.ok());
+  return std::move(bytes).value();
+}
+
 struct FuzzRun {
   std::string transcript;    // every interleaved query response, in order
-  std::string final_index;   // serialized index bytes after the last op
+  std::string final_index;   // IndexBytes after the last op
   uint64_t fingerprint = 0;  // graph fingerprint after the last op
   uint32_t applied = 0;
 };
@@ -230,8 +238,8 @@ FuzzRun RunFuzz(PropagationModel model, uint32_t threads) {
     auto fresh = Engine::CreateDynamic(std::move(state->graph), options);
     EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
     if (!fresh.ok()) break;
-    EXPECT_EQ(SerializeCascadeIndex(engine->index()),
-              SerializeCascadeIndex(fresh->index()))
+    EXPECT_EQ(IndexBytes(fresh->graph(), *engine),
+              IndexBytes(fresh->graph(), *fresh))
         << "index bytes diverged at op " << run.applied;
     EXPECT_EQ(live_fp, fresh->fingerprint());
     EXPECT_EQ(ProbeQueries(&*engine, 31 + run.applied),
@@ -239,7 +247,9 @@ FuzzRun RunFuzz(PropagationModel model, uint32_t threads) {
         << "query answers diverged at op " << run.applied;
   }
 
-  run.final_index = SerializeCascadeIndex(engine->index());
+  auto final_state = engine->CaptureDynamicState();
+  SOI_CHECK(final_state.ok());
+  run.final_index = IndexBytes(final_state->graph, *engine);
   run.fingerprint = engine->fingerprint();
   SetGlobalThreads(0);
   return run;
@@ -273,7 +283,7 @@ TEST(DynamicFuzzAtomicity, FailedBatchLeavesIndexByteIdentical) {
   auto engine = Engine::CreateDynamic(
       std::move(base), DynamicOptions(PropagationModel::kIndependentCascade));
   ASSERT_TRUE(engine.ok());
-  const std::string before = SerializeCascadeIndex(engine->index());
+  const std::string before = IndexBytes(engine->graph(), *engine);
   const uint64_t fp_before = engine->fingerprint();
 
   std::vector<GraphUpdate> ops;
@@ -284,7 +294,7 @@ TEST(DynamicFuzzAtomicity, FailedBatchLeavesIndexByteIdentical) {
   auto response = engine->Run(update);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(SerializeCascadeIndex(engine->index()), before);
+  EXPECT_EQ(IndexBytes(engine->graph(), *engine), before);
   EXPECT_EQ(engine->fingerprint(), fp_before);
   EXPECT_EQ(engine->drift(), 0u);
 }

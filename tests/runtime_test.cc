@@ -1,5 +1,7 @@
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +109,28 @@ TEST(ParallelForTest, NestedLoopsRunInline) {
     ParallelFor(0, 8, 1, [&](uint64_t) { hits.fetch_add(1); });
   });
   EXPECT_EQ(hits.load(), 64u);
+}
+
+TEST(ParallelForTest, CompletesWhileEveryWorkerWaitsOnTheCaller) {
+  // A caller that holds a lock every worker is waiting on (an engine's
+  // lazy typical sweep under its mutex) must still finish its region.
+  std::mutex mu;
+  std::atomic<uint32_t> parked{0};
+  ThreadsGuard guard(4);  // declared after mu: the pool drains before mu dies
+  std::unique_lock<std::mutex> hold(mu);
+  for (uint32_t i = 0; i < GlobalPool()->num_threads(); ++i) {
+    GlobalPool()->Submit([&] {
+      parked.fetch_add(1);
+      std::lock_guard<std::mutex> wait_for_caller(mu);
+    });
+  }
+  while (parked.load() < GlobalPool()->num_threads()) {
+    std::this_thread::yield();
+  }
+  std::atomic<uint64_t> sum{0};
+  ParallelFor(0, 64, 1, [&](uint64_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 64u * 63u / 2);
+  hold.unlock();
 }
 
 TEST(RngForkTest, StreamForkIsStableAndDoesNotAdvance) {

@@ -25,12 +25,12 @@
 #include "gen/generators.h"
 #include "graph/prob_assign.h"
 #include "graph/prob_graph.h"
-#include "index/index_io.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
 #include "service/hot_swap.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "snapshot/writer.h"
 #include "util/rng.h"
 
 namespace soi::service {
@@ -1159,8 +1159,11 @@ TEST(DynamicEngineTest, UpdatesRacingQueriesWithDriftHotSwap) {
   auto reference =
       Engine::CreateDynamic(std::move(final_state->graph), options);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(SerializeCascadeIndex(last->index()),
-            SerializeCascadeIndex(reference->index()));
+  const auto served = SerializeSnapshot(reference->graph(), last->index());
+  const auto rebuilt =
+      SerializeSnapshot(reference->graph(), reference->index());
+  ASSERT_TRUE(served.ok() && rebuilt.ok());
+  EXPECT_EQ(*served, *rebuilt);
   EXPECT_EQ(last->fingerprint(), reference->fingerprint());
 }
 
@@ -1508,7 +1511,8 @@ TEST(ServeTcpTest, SurvivesTornLinesGarbageAndOversizedLines) {
                 "{\"op\":\"spread\",\"seeds\":[4],\"id\":2}\n"
                 "{\"op\":\"cascade\",\"seeds\":[4],\"wor");
   pause();
-  tcp::WriteAll(fd, std::string("ld\":0,\"id\":3}\n\x00\x01\xff\xfe\n", 34));
+  static constexpr char kTornTail[] = "ld\":0,\"id\":3}\n\x00\x01\xff\xfe\n";
+  tcp::WriteAll(fd, std::string(kTornTail, sizeof(kTornTail) - 1));
   // 5: an oversized line (beyond max_line_bytes=128), then 6: recovery.
   std::string giant = "{\"id\":5,\"pad\":\"";
   giant.append(300, 'y');

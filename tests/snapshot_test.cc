@@ -22,7 +22,6 @@
 #include "graph/prob_assign.h"
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
-#include "index/index_io.h"
 #include "infmax/sketch_oracle.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
@@ -64,8 +63,14 @@ CascadeIndex BuildIndex(const ProbGraph& graph, PropagationModel model,
   return std::move(index).value();
 }
 
+// Prefixed with the running test's name: ctest runs every test case as its
+// own process, in parallel, so cases sharing a bare name would overwrite
+// each other's files mid-test.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
@@ -196,38 +201,26 @@ TEST(SnapshotRoundTrip, TypicalTableAndModelFlagSurvive) {
 }
 
 TEST(SnapshotRoundTrip, BorrowedIndexSerializesIdenticallyToOwned) {
-  // index_io must read through the span accessors, so saving a borrowed
-  // (mmap-backed) index produces the same SOIIDX bytes as the owned one.
+  // The writer reads through the span accessors, so re-serializing a
+  // borrowed (mmap-backed) index produces the bytes it was loaded from, in
+  // both closure encodings.
   const ProbGraph graph = RandomGraph(50, 250, 9);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string path = TempPath("reserialize.soisnap");
-  ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
-  auto snap = Snapshot::Open(path);
-  ASSERT_TRUE(snap.ok());
-  auto borrowed = (*snap)->MakeIndex();
-  ASSERT_TRUE(borrowed.ok());
-  EXPECT_EQ(SerializeCascadeIndex(index), SerializeCascadeIndex(*borrowed));
-}
-
-TEST(IndexIoTest, RebuildClosuresPolicySkipsTheCache) {
-  const ProbGraph graph = RandomGraph(50, 250, 11);
-  const CascadeIndex index =
-      BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string bytes = SerializeCascadeIndex(index);
-  auto rebuilt = DeserializeCascadeIndex(bytes, RebuildClosures::kRebuild);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_TRUE(rebuilt->has_closure_cache());
-  auto skipped = DeserializeCascadeIndex(bytes, RebuildClosures::kSkip);
-  ASSERT_TRUE(skipped.ok());
-  EXPECT_FALSE(skipped->has_closure_cache());
-  // The cache is an accelerator, not a semantic: cascades agree either way.
-  CascadeIndex::Workspace ws;
-  for (uint32_t w = 0; w < index.num_worlds(); ++w) {
-    auto a = rebuilt->Cascade(NodeId{0}, w, &ws);
-    auto b = skipped->Cascade(NodeId{0}, w, &ws);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "world " << w;
+  for (const bool pack : {true, false}) {
+    SnapshotWriteOptions options;
+    options.pack = pack;
+    auto bytes = SerializeSnapshot(graph, index, options);
+    ASSERT_TRUE(bytes.ok());
+    const std::string path = TempPath("reserialize.soisnap");
+    WriteBytes(path, *bytes);
+    auto snap = Snapshot::Open(path);
+    ASSERT_TRUE(snap.ok());
+    auto borrowed = (*snap)->MakeIndex();
+    ASSERT_TRUE(borrowed.ok());
+    auto again = SerializeSnapshot(graph, *borrowed, options);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*bytes, *again) << "pack " << pack;
   }
 }
 

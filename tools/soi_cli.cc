@@ -3,8 +3,8 @@
 //   soi_cli gen         --config Digg-S [--scale 0.25] [--seed 42] --out g.txt
 //   soi_cli stats       --graph g.txt [--undirected] [--default-prob 0.1]
 //   soi_cli index       --graph g.txt [--worlds 256] [--model ic|lt]
-//                       [--seed 1] --out g.soiidx
-//   soi_cli sphere      --graph g.txt --node 42 [--index g.soiidx]
+//                       [--seed 1] --out g.soisnap
+//   soi_cli sphere      --graph g.txt --node 42 [--index g.soisnap]
 //                       [--worlds 256] [--local-search] [--eval-samples 500]
 //   soi_cli infmax      --graph g.txt --method std|mc|tc|rr|degree|random
 //                       [--k 50] [--worlds 256] [--eval-worlds 400]
@@ -53,8 +53,8 @@
 //                      0 disables). Over-budget indexes fall back to
 //                      per-query DAG traversal; outputs are byte-identical
 //                      either way, only speed changes. A loaded index
-//                      (sphere --index) rebuilds the cache under the
-//                      environment budget — the cache is never serialized.
+//                      (sphere --index) answers from the cache its snapshot
+//                      carries, as `index --out` built it.
 //   --closure-tier P   which reachability tiers the budget may assign:
 //                      auto (default; materialized, then interval labels,
 //                      then traversal as the budget runs out), materialized
@@ -88,7 +88,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "index/cascade_index.h"
-#include "index/index_io.h"
 #include "infmax/baselines.h"
 #include "infmax/evaluate.h"
 #include "infmax/greedy_std.h"
@@ -176,15 +175,17 @@ std::vector<CommandSpec> Commands() {
   commands.push_back({"stats", "print topology and edge-probability summary",
                       "", WithShared({}, /*graph=*/true, /*index=*/false)});
   commands.push_back(
-      {"index", "build the cascade index (Algorithm 1) and save it", "",
+      {"index",
+       "build the cascade index (Algorithm 1) and save it as a snapshot", "",
        WithShared({{"out", FlagType::kString, "",
-                    "output index path (required)"}},
+                    "output soi-snap-v1 path (required)"}},
                   /*graph=*/true, /*index=*/true)});
   commands.push_back(
       {"sphere", "sphere of influence (Algorithm 2) of one node", "",
        WithShared({{"node", FlagType::kInt, "", "seed node id (required)"},
                    {"index", FlagType::kString, "",
-                    "load this index instead of building one"},
+                    "answer from this `index --out` snapshot instead of "
+                    "building an index (must match --graph)"},
                    {"local-search", FlagType::kBool, "",
                     "enable 1-swap local-search refinement"},
                    {"eval-samples", FlagType::kInt, "0",
@@ -410,11 +411,14 @@ int CmdIndex(const FlagParser& flags) {
   const Status out_ok = ValidateWritableOutPath(out);
   if (!out_ok.ok()) return Fail(out_ok);
   CLI_ASSIGN(graph, LoadGraph(flags));
+  CLI_ASSIGN(index_options, IndexOptionsFromFlags(flags));
   CLI_ASSIGN(index, BuildIndexFromFlags(graph, flags));
+  SnapshotWriteOptions options;
+  options.model = index_options.model;
   Status save = Status::OK();
   {
     SOI_OBS_SPAN("cli/save_index");
-    save = SaveCascadeIndex(index, out);
+    save = WriteSnapshot(graph, index, out, options);
   }
   if (!save.ok()) return Fail(save);
   std::printf(
@@ -423,6 +427,17 @@ int CmdIndex(const FlagParser& flags) {
       static_cast<double>(index.stats().approx_bytes) / (1 << 20),
       index.stats().build_seconds);
   return 0;
+}
+
+// Opens the snapshot `index --out` wrote and proves it was built from
+// `graph`, so a stale file never answers for a changed graph. The index
+// borrows from *snap, which must outlive it.
+Result<CascadeIndex> LoadIndexSnapshot(const std::string& path,
+                                       const ProbGraph& graph,
+                                       std::shared_ptr<const Snapshot>* snap) {
+  SOI_ASSIGN_OR_RETURN(*snap, Snapshot::Open(path));
+  SOI_RETURN_IF_ERROR(CheckSnapshotFreshness((*snap)->info(), graph));
+  return (*snap)->MakeIndex();
 }
 
 int CmdSphere(const FlagParser& flags) {
@@ -434,9 +449,10 @@ int CmdSphere(const FlagParser& flags) {
   const NodeId node = static_cast<NodeId>(node_i64);
 
   CLI_ASSIGN(index_path, flags.GetString("index", ""));
-  Result<CascadeIndex> index = index_path.empty()
-                                   ? BuildIndexFromFlags(graph, flags)
-                                   : LoadCascadeIndex(index_path);
+  std::shared_ptr<const Snapshot> snap;
+  Result<CascadeIndex> index =
+      index_path.empty() ? BuildIndexFromFlags(graph, flags)
+                         : LoadIndexSnapshot(index_path, graph, &snap);
   if (!index.ok()) return Fail(index.status());
   if (index->num_nodes() != graph.num_nodes()) {
     return Fail(Status::FailedPrecondition("index/graph node mismatch"));
@@ -676,7 +692,7 @@ Result<std::vector<GraphUpdate>> ParseUpdatesFile(const std::string& path) {
 // (src/dynamic/) and reports how much of the index each batch touched.
 // --verify then proves rebuild equivalence for this exact stream: a fresh
 // DynamicIndex built from the updated graph must match the incrementally
-// maintained one byte-for-byte (serialized index, typical table, graph
+// maintained one byte-for-byte (snapshot bytes, typical table, graph
 // fingerprint) — any divergence is exit code 1.
 int CmdUpdate(const FlagParser& flags) {
   CLI_ASSIGN(updates_path, flags.GetString("updates", ""));
@@ -741,11 +757,12 @@ int CmdUpdate(const FlagParser& flags) {
     std::fprintf(stderr, "verify: graph fingerprint mismatch\n");
     ok = false;
   }
-  if (SerializeCascadeIndex(dynamic.index()) !=
-      SerializeCascadeIndex(fresh.index())) {
+  CLI_ASSIGN(incremental_bytes,
+             SerializeSnapshot(updated_graph, dynamic.index()));
+  CLI_ASSIGN(fresh_bytes, SerializeSnapshot(updated_graph, fresh.index()));
+  if (incremental_bytes != fresh_bytes) {
     std::fprintf(stderr,
-                 "verify: serialized index bytes diverge from a fresh "
-                 "rebuild\n");
+                 "verify: snapshot bytes diverge from a fresh rebuild\n");
     ok = false;
   }
   const Status typical_a = dynamic.EnsureTypical();
