@@ -18,7 +18,8 @@ struct UpdateStats {
   /// Updates applied (== the batch size on success).
   uint32_t applied_ops = 0;
   /// Worlds whose live-edge set changed and were re-derived (sample →
-  /// SCC → reduction → closure). The complement was left byte-untouched.
+  /// SCC → closure or labels, plus the transitive reduction when the
+  /// options ask for it). The complement was left byte-untouched.
   uint32_t affected_worlds = 0;
   /// Typical-cascade table entries recomputed (0 when the table is not
   /// materialized).

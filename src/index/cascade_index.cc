@@ -377,9 +377,9 @@ Result<CascadeIndex> CascadeIndex::AssembleWorlds(
   index.worlds_ = std::move(worlds);
   index.tiers_.assign(index.worlds_.size(), WorldTier::kTraversal);
   index.ComputeSharedStats();
-  // Prebuilt condensations carry only the (already reduced) DAG, so the
-  // pre-reduction edge count is unrecoverable here; report the stored count
-  // for both so the stats stay self-consistent.
+  // Prebuilt condensations carry only the stored (possibly reduced) DAG, so
+  // the pre-reduction edge count is unrecoverable here; report the stored
+  // count for both so the stats stay self-consistent.
   index.stats_.avg_dag_edges_before = index.stats_.avg_dag_edges_after;
   return index;
 }

@@ -79,9 +79,12 @@ struct CascadeIndexOptions {
   /// 1000, we default lower for single-core sweeps.
   uint32_t num_worlds = 128;
   PropagationModel model = PropagationModel::kIndependentCascade;
-  /// Apply the transitive reduction to each condensation (paper §4);
-  /// disabling is an ablation that trades memory for build time.
-  bool transitive_reduction = true;
+  /// Apply the transitive reduction to each condensation (the space step of
+  /// paper §4). Off by default: it removes only 1–3% of DAG arcs and changes
+  /// no answer (closures, labels and tiers depend only on reachability),
+  /// yet on the perfbench `serve`/`update` graph it costs more per world
+  /// than the closure build. Kept as the DESIGN §8 ablation.
+  bool transitive_reduction = false;
   ReductionOptions reduction;
   /// Memory budget for the per-world reachability cache (closures +
   /// labels). Under the default kAuto policy each world is assigned the
@@ -115,11 +118,11 @@ struct CascadeIndexStats {
 };
 
 /// The cascade index of Algorithm 1 (paper §4, Figure 2): for each of the l
-/// sampled worlds G_i it stores the SCC condensation (DAG, transitively
-/// reduced) plus the node→component matrix I[v, i]. The cascade of v in G_i
-/// is then the union of the members of all components reachable from
-/// I[v, i], obtained by one DAG traversal — typically far cheaper than
-/// re-traversing G_i.
+/// sampled worlds G_i it stores the SCC condensation DAG (transitively
+/// reduced only when CascadeIndexOptions::transitive_reduction is set) plus
+/// the node→component matrix I[v, i]. The cascade of v in G_i is then the
+/// union of the members of all components reachable from I[v, i], obtained
+/// by one DAG traversal — typically far cheaper than re-traversing G_i.
 ///
 /// On top of that, the index memoizes per-world reachability through a
 /// three-tier memory hierarchy picked per world under

@@ -23,12 +23,15 @@ namespace soi {
 ///
 ///   closure(c) = {c} ∪ closure(s_1) ∪ ... ∪ closure(s_k),   s_i = succ(c),
 ///
-/// with all successor closures already final. Each component then merges its
-/// (disjoint, pre-sorted) member runs once, at build time — after which a
-/// single-source cascade query is a span into the runs CSR (no traversal, no
-/// sort, no copy), a cascade size is a subtraction of two offsets, and a
-/// multi-source cascade is a stamped union of closure lists followed by one
-/// run merge.
+/// with all successor closures already final, and likewise
+///
+///   run(c) = members(c) ∪ run(s_1) ∪ ... ∪ run(s_k).
+///
+/// Both are unions of lists that are already sorted, so the build merges
+/// them and never sorts. After the build a single-source cascade query is a
+/// span into the runs CSR (no traversal, no sort, no copy), a cascade size is
+/// a subtraction of two offsets, and a multi-source cascade is a stamped
+/// union of closure lists followed by one run merge.
 ///
 /// Storage is dual-mode: a closure either owns its CSR arrays (the vectors
 /// below, filled by BuildReachabilityClosure) or *borrows* them from an
@@ -147,7 +150,10 @@ void MergeComponentMemberRuns(const Condensation& cond,
                               std::vector<NodeId>* out);
 
 /// Builds the full reachability closure of `cond` in one ascending
-/// (reverse-topological) pass. Deterministic: depends only on the DAG.
+/// (reverse-topological) pass. Deterministic: the output depends only on the
+/// reachability relation, so a transitively reduced DAG and the unreduced
+/// one give the same bytes. Each component's lists are unioned from its k
+/// successors' in pairwise rounds: O(S log k) for S ids read.
 ///
 /// `max_total_nodes` caps the total materialized run length (the dominant
 /// memory term; the component lists it bounds are never longer); when the

@@ -105,11 +105,6 @@ ReductionStats TransitiveReduce(Condensation* cond,
                    : ReductionStrategy::kDfs;
   }
   switch (strategy) {
-    case ReductionStrategy::kNone: {
-      ReductionStats stats;
-      stats.edges_before = stats.edges_after = cond->num_dag_edges();
-      return stats;
-    }
     case ReductionStrategy::kDenseBitset:
       return ReduceDense(cond);
     case ReductionStrategy::kDfs:

@@ -11,18 +11,18 @@ namespace soi {
 /// (paper §4 uses Aho–Garey–Ullman [3]; for a DAG the reduction is the unique
 /// minimal subgraph with the same reachability, obtainable by deleting edges
 /// that are implied by longer paths).
+///
+/// The values are fixed because test and benchmark names print them; 1 is
+/// unused.
 enum class ReductionStrategy {
   /// Pick kDenseBitset for small DAGs, kDfs otherwise.
-  kAuto,
-  /// Skip reduction entirely (ablation baseline; queries stay correct, the
-  /// index just stores more edges).
-  kNone,
+  kAuto = 0,
   /// Per-component reachability bitsets, O(nc * m / 64). Fast but needs
   /// nc^2 bits of transient memory; used when nc <= dense_limit.
-  kDenseBitset,
+  kDenseBitset = 2,
   /// Incremental DFS marking per parent; O(sum of reachable sets) worst
   /// case with a global visit budget guard (partial reductions are safe).
-  kDfs,
+  kDfs = 3,
 };
 
 struct ReductionOptions {

@@ -8,23 +8,20 @@
 // The binary under test and the fixture directory come in as compile
 // definitions (SOI_CLI_PATH, SOI_GOLDEN_DIR) from tests/CMakeLists.txt.
 //
-// Regenerating goldens after an intended algorithmic change (from
-// tests/golden/):
+// Regenerating goldens after an intended algorithmic change: run these
+// lines in bash from tests/golden/, with soi_cli on the PATH.
+//   F='--graph graph.txt --worlds 64 --seed 1 --threads 1'
+//   M='--method tc --k 8 --eval-worlds 100'
+//   T='s/[0-9]*\.[0-9][0-9]s build/<TIME>s build/'
+//   E='s/"elapsed_us":[0-9]+/"elapsed_us":0/'
 //   soi_cli gen --config Twitter-S --scale 0.08 --seed 5 --out graph.txt
-//   soi_cli index   --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       --out index.soisnap.golden > index.stdout.raw
-//   sed 's/[0-9]*\.[0-9][0-9]s build/<TIME>s build/' index.stdout.raw \
-//       > index.stdout.golden && rm index.stdout.raw
-//   soi_cli typical --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       > typical.stdout.golden
-//   soi_cli infmax  --graph graph.txt --method tc --k 8 --worlds 64 \
-//       --eval-worlds 100 --seed 1 --threads 1 > infmax_tc.stdout.golden
-//   soi_cli serve   --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       --stdin < serve.requests.jsonl > serve.stdout.golden
-//   soi_cli serve   --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       --sketch-k 16 --stdin < serve_v2.requests.jsonl \
-//       | sed -E 's/"elapsed_us":[0-9]+/"elapsed_us":0/' \
-//       > serve_v2.stdout.golden
+//   soi_cli index $F --out index.soisnap.golden > index.raw
+//   sed "$T" index.raw > index.stdout.golden && rm index.raw
+//   soi_cli typical $F > typical.stdout.golden
+//   soi_cli infmax $F $M > infmax_tc.stdout.golden
+//   soi_cli serve $F --stdin < serve.requests.jsonl > serve.stdout.golden
+//   soi_cli serve $F --sketch-k 16 --stdin < serve_v2.requests.jsonl > v2.raw
+//   sed -E "$E" v2.raw > serve_v2.stdout.golden && rm v2.raw
 
 #include <cstdio>
 #include <fstream>

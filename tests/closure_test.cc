@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,61 +62,130 @@ CascadeIndex BuildIndex(const ProbGraph& g, PropagationModel model,
 // Closure build invariants.
 // ---------------------------------------------------------------------------
 
+// Checks every component's closure against a fresh DFS, and its run against
+// the sorted union of the member runs of the components it reaches.
+void ExpectMatchesReference(const Condensation& cond,
+                            const ReachabilityClosure& closure) {
+  ASSERT_EQ(closure.num_components(), cond.num_components());
+  std::vector<uint32_t> stamp(cond.num_components(), 0);
+  std::vector<uint32_t> reached;
+  std::vector<NodeId> members;
+  for (uint32_t c = 0; c < cond.num_components(); ++c) {
+    reached.clear();
+    ReachableComponents(cond, c, &stamp, c + 1, &reached);
+    std::sort(reached.begin(), reached.end());
+    ASSERT_TRUE(std::ranges::equal(closure.Closure(c), reached))
+        << "closure of component " << c;
+    members.clear();
+    for (uint32_t r : reached) {
+      const auto m = cond.ComponentMembers(r);
+      members.insert(members.end(), m.begin(), m.end());
+    }
+    std::sort(members.begin(), members.end());
+    ASSERT_TRUE(std::ranges::equal(closure.Cascade(c), members))
+        << "run of component " << c;
+    ASSERT_EQ(closure.NodeCount(c), members.size());
+  }
+}
+
+Condensation CondenseEdges(NodeId n,
+                           std::vector<std::pair<NodeId, NodeId>> edges) {
+  return Condensation::Build(
+      Csr::FromEdges(n, std::move(edges), /*dedupe=*/true));
+}
+
 TEST(ClosureBuildTest, MatchesReachableComponentsOnSampledWorlds) {
   const ProbGraph g = TestGraph(PropagationModel::kIndependentCascade);
-  const CascadeIndex index =
-      BuildIndex(g, PropagationModel::kIndependentCascade, true, 0, 16);
-  std::vector<uint32_t> stamp;
-  std::vector<uint32_t> reached;
-  for (uint32_t i = 0; i < index.num_worlds(); ++i) {
-    const Condensation& cond = index.world(i);
-    const ReachabilityClosure closure =
-        BuildReachabilityClosure(cond, UINT64_MAX);
-    ASSERT_EQ(closure.num_components(), cond.num_components());
-    EXPECT_GT(closure.ApproxBytes(), 0u);
-    stamp.assign(cond.num_components(), 0);
-    uint32_t stamp_id = 0;
-    for (uint32_t c = 0; c < cond.num_components(); ++c) {
-      const auto comp_closure = closure.Closure(c);
-      // Ascending, includes c, and identical to a fresh DFS.
-      EXPECT_TRUE(std::is_sorted(comp_closure.begin(), comp_closure.end()));
-      EXPECT_TRUE(std::binary_search(comp_closure.begin(), comp_closure.end(),
-                                     c));
-      reached.clear();
-      ReachableComponents(cond, c, &stamp, ++stamp_id, &reached);
-      std::sort(reached.begin(), reached.end());
-      ASSERT_EQ(comp_closure.size(), reached.size());
-      EXPECT_TRUE(std::equal(comp_closure.begin(), comp_closure.end(),
-                             reached.begin()));
-      // The materialized run is the sorted union of the closure's members.
-      const auto run = closure.Cascade(c);
-      EXPECT_TRUE(std::is_sorted(run.begin(), run.end()));
-      uint64_t member_total = 0;
-      for (uint32_t cc : comp_closure) member_total += cond.ComponentSize(cc);
-      EXPECT_EQ(run.size(), member_total);
-      EXPECT_EQ(closure.NodeCount(c), member_total);
-      for (NodeId v : cond.ComponentMembers(c)) {
-        EXPECT_TRUE(std::binary_search(run.begin(), run.end(), v));
-      }
+  // Unreduced DAGs are the default shape; reduced ones the ablation.
+  for (const bool reduction : {false, true}) {
+    SCOPED_TRACE(reduction ? "reduced" : "unreduced");
+    const CascadeIndex index = BuildIndex(
+        g, PropagationModel::kIndependentCascade, reduction, 0, 16);
+    for (uint32_t i = 0; i < index.num_worlds(); ++i) {
+      const ReachabilityClosure closure =
+          BuildReachabilityClosure(index.world(i), UINT64_MAX);
+      EXPECT_GT(closure.ApproxBytes(), 0u);
+      ExpectMatchesReference(index.world(i), closure);
     }
   }
+}
+
+TEST(ClosureBuildTest, HubOverChainMatchesReference) {
+  // A hub with an arc to every node of the chain k-1 -> ... -> 0: its k
+  // successors' closures nest, so the union reads about k^2/2 ids to keep
+  // k + 1.
+  constexpr NodeId kChain = 2000;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 1; v < kChain; ++v) edges.emplace_back(v, v - 1);
+  for (NodeId v = 0; v < kChain; ++v) edges.emplace_back(kChain, v);
+  const Condensation cond = CondenseEdges(kChain + 1, std::move(edges));
+  ASSERT_EQ(cond.num_components(), kChain + 1);
+  const uint32_t hub = cond.ComponentOf(kChain);
+  ASSERT_EQ(cond.DagSuccessors(hub).size(), kChain);
+  const ReachabilityClosure closure =
+      BuildReachabilityClosure(cond, UINT64_MAX);
+  ExpectMatchesReference(cond, closure);
+  EXPECT_EQ(closure.NodeCount(hub), kChain + 1);
+}
+
+TEST(ClosureBuildTest, DiamondLatticeMatchesReference) {
+  // (r, c) -> (r + 1, c) and (r, c + 1): every pair of successors shares
+  // most of its closure, and every component has many paths to each one.
+  constexpr NodeId kSide = 30;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId r = 0; r < kSide; ++r) {
+    for (NodeId c = 0; c < kSide; ++c) {
+      if (r + 1 < kSide) edges.emplace_back(r * kSide + c, (r + 1) * kSide + c);
+      if (c + 1 < kSide) edges.emplace_back(r * kSide + c, r * kSide + c + 1);
+    }
+  }
+  const Condensation cond = CondenseEdges(kSide * kSide, std::move(edges));
+  ASSERT_EQ(cond.num_components(), kSide * kSide);
+  const ReachabilityClosure closure =
+      BuildReachabilityClosure(cond, UINT64_MAX);
+  ExpectMatchesReference(cond, closure);
+  EXPECT_EQ(closure.NodeCount(cond.ComponentOf(0)), kSide * kSide);
+}
+
+TEST(ClosureBuildTest, MultiNodeComponentInterleavesWithSuccessorRuns) {
+  // SCC {1, 5, 9} reaches 0, 4 and 8, the SCC {3, 7}, and through them
+  // 2, 6, 10 and 11: its members sit between its successors' run entries.
+  // Node 12 reaches the SCC from outside.
+  const Condensation cond = CondenseEdges(
+      13, {{1, 5}, {5, 9}, {9, 1}, {3, 7}, {7, 3}, {1, 0}, {5, 4},
+           {9, 8}, {9, 3}, {4, 2}, {8, 6}, {0, 10}, {7, 11}, {12, 5},
+           {12, 2}});
+  const uint32_t scc = cond.ComponentOf(1);
+  ASSERT_EQ(cond.ComponentSize(scc), 3u);
+  ASSERT_EQ(cond.ComponentSize(cond.ComponentOf(3)), 2u);
+  const ReachabilityClosure closure =
+      BuildReachabilityClosure(cond, UINT64_MAX);
+  ExpectMatchesReference(cond, closure);
+  const std::vector<NodeId> expected = {0, 1, 2, 3, 4, 5,
+                                        6, 7, 8, 9, 10, 11};
+  EXPECT_TRUE(std::ranges::equal(closure.Cascade(scc), expected));
+  EXPECT_EQ(closure.NodeCount(cond.ComponentOf(12)), 13u);
 }
 
 TEST(ClosureBuildTest, NodeCapBailsToEmptyClosure) {
   const ProbGraph g = TestGraph(PropagationModel::kIndependentCascade);
   const CascadeIndex index =
-      BuildIndex(g, PropagationModel::kIndependentCascade, true, 0, 4);
+      BuildIndex(g, PropagationModel::kIndependentCascade, false, 0, 4);
   const Condensation& cond = index.world(0);
   ASSERT_GT(cond.num_components(), 1u);
   const ReachabilityClosure bailed = BuildReachabilityClosure(cond, 1);
   EXPECT_EQ(bailed.num_components(), 0u);
   EXPECT_TRUE(bailed.nodes.empty());
-  // An exact cap (total run length) succeeds.
+  // An exact cap (total run length) succeeds; one node less bails.
   const ReachabilityClosure full = BuildReachabilityClosure(cond, UINT64_MAX);
   const ReachabilityClosure at_cap =
       BuildReachabilityClosure(cond, full.nodes.size());
   EXPECT_EQ(at_cap.num_components(), cond.num_components());
   EXPECT_EQ(at_cap.nodes, full.nodes);
+  const ReachabilityClosure below_cap =
+      BuildReachabilityClosure(cond, full.nodes.size() - 1);
+  EXPECT_EQ(below_cap.num_components(), 0u);
+  EXPECT_TRUE(below_cap.nodes.empty());
 }
 
 TEST(ClosureBuildTest, MergeComponentMemberRunsMatchesGatherSort) {

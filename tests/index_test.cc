@@ -5,6 +5,7 @@
 
 #include "cascade/exact.h"
 #include "cascade/simulate.h"
+#include "core/typical_cascade.h"
 #include "gen/generators.h"
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
@@ -126,6 +127,69 @@ TEST(CascadeIndexTest, ReductionDoesNotChangeCascades) {
                 plain.Cascade(v, i, &wp).value());
     }
   }
+
+  // The reduction is off by default because it only drops arcs: on a budget
+  // that splits the worlds between closures and labels, every tier, every
+  // closure and label byte and the typical table stay the same.
+  Rng gen_rng(17);
+  auto topo = GenerateRmat(10, 6000, {}, &gen_rng);
+  ASSERT_TRUE(topo.ok());
+  Rng assign_rng(18);
+  const auto dense = AssignUniform(*topo, &assign_rng, 0.2, 0.5);
+  ASSERT_TRUE(dense.ok());
+  auto build_mixed = [&](bool reduction) {
+    CascadeIndexOptions options;
+    options.num_worlds = 16;
+    options.transitive_reduction = reduction;
+    options.closure_budget_mb = 1;
+    options.tier_policy = ClosureTierPolicy::kAuto;
+    Rng rng(19);
+    auto index = CascadeIndex::Build(*dense, options, &rng);
+    EXPECT_TRUE(index.ok());
+    return std::move(index).value();
+  };
+  const CascadeIndex mixed_reduced = build_mixed(true);
+  const CascadeIndex mixed_plain = build_mixed(false);
+  ASSERT_GT(mixed_plain.stats().worlds_materialized, 0u);
+  ASSERT_GT(mixed_plain.stats().worlds_labeled, 0u);
+  uint64_t arcs_reduced = 0;
+  uint64_t arcs_plain = 0;
+  for (uint32_t i = 0; i < mixed_plain.num_worlds(); ++i) {
+    arcs_reduced += mixed_reduced.world(i).num_dag_edges();
+    arcs_plain += mixed_plain.world(i).num_dag_edges();
+    ASSERT_EQ(mixed_reduced.tier(i), mixed_plain.tier(i)) << "world " << i;
+    if (mixed_plain.tier(i) == WorldTier::kMaterialized) {
+      const ReachabilityClosure& a = mixed_reduced.closure(i);
+      const ReachabilityClosure& b = mixed_plain.closure(i);
+      EXPECT_TRUE(std::ranges::equal(a.comp_offsets_view(),
+                                     b.comp_offsets_view()));
+      EXPECT_TRUE(std::ranges::equal(a.comps_view(), b.comps_view()));
+      EXPECT_TRUE(std::ranges::equal(a.node_offsets_view(),
+                                     b.node_offsets_view()));
+      EXPECT_TRUE(std::ranges::equal(a.nodes_view(), b.nodes_view()));
+    } else if (mixed_plain.tier(i) == WorldTier::kLabels) {
+      const ReachLabels& a = mixed_reduced.labels(i);
+      const ReachLabels& b = mixed_plain.labels(i);
+      EXPECT_TRUE(std::ranges::equal(a.offsets_view(), b.offsets_view()));
+      EXPECT_TRUE(std::ranges::equal(a.bounds_view(), b.bounds_view()));
+      EXPECT_TRUE(std::ranges::equal(a.reach_nodes_view(),
+                                     b.reach_nodes_view()));
+    }
+  }
+  // Otherwise the comparison above says nothing about the reduction.
+  EXPECT_LT(arcs_reduced, arcs_plain);
+  EXPECT_EQ(mixed_reduced.stats().closure_bytes,
+            mixed_plain.stats().closure_bytes);
+  EXPECT_EQ(mixed_reduced.stats().label_bytes, mixed_plain.stats().label_bytes);
+
+  auto sweep_reduced = TypicalCascadeComputer(&mixed_reduced).ComputeAllFlat();
+  auto sweep_plain = TypicalCascadeComputer(&mixed_plain).ComputeAllFlat();
+  ASSERT_TRUE(sweep_reduced.ok());
+  ASSERT_TRUE(sweep_plain.ok());
+  EXPECT_TRUE(sweep_reduced->cascades == sweep_plain->cascades);
+  EXPECT_EQ(sweep_reduced->in_sample_cost, sweep_plain->in_sample_cost);
+  EXPECT_EQ(sweep_reduced->mean_sample_size, sweep_plain->mean_sample_size);
+  EXPECT_EQ(sweep_reduced->median_source, sweep_plain->median_source);
 }
 
 TEST(CascadeIndexTest, AllCascadesShape) {

@@ -246,18 +246,6 @@ TEST(ReductionTest, DiamondKeepsAllEdges) {
   EXPECT_EQ(stats.edges_after, 4u);
 }
 
-TEST(ReductionTest, NoneStrategyIsIdentity) {
-  Rng rng(6);
-  const Csr g = RandomDigraph(20, 60, &rng);
-  Condensation cond = Condensation::Build(g);
-  const uint32_t before = cond.num_dag_edges();
-  ReductionOptions options;
-  options.strategy = ReductionStrategy::kNone;
-  const ReductionStats stats = TransitiveReduce(&cond, options);
-  EXPECT_EQ(stats.edges_after, before);
-  EXPECT_EQ(cond.num_dag_edges(), before);
-}
-
 TEST(ReductionTest, DfsBudgetTruncationStaysCorrect) {
   Rng rng(7);
   const Csr g = RandomDigraph(40, 150, &rng);
