@@ -728,7 +728,7 @@ SnapshotRestartNumbers RunSnapshotRestartComparison() {
 
 // Incremental maintenance numbers for BENCH_micro.json (n=4096, l=64): the
 // mean single-edge update latency through DynamicIndex::ApplyUpdates vs the
-// full keyed rebuild the update replaces — the reason src/dynamic/ exists —
+// full rebuild the update replaces — the reason src/dynamic/ exists —
 // plus the sustained queries/sec of a dynamic engine under a mixed
 // update+query stream. Every update's effect is provably byte-identical to
 // that rebuild (tests/dynamic_fuzz_test.cc), so this compares equal work.

@@ -43,28 +43,6 @@ Result<ProbGraph> NormalizeLtWeights(const ProbGraph& graph, double target) {
   return graph.WithProbs(std::move(probs));
 }
 
-Result<Csr> SampleLtWorld(const ProbGraph& graph, Rng* rng) {
-  SOI_RETURN_IF_ERROR(ValidateLtWeights(graph));
-  const NodeId n = graph.num_nodes();
-  // One pass over reverse adjacency; each node keeps at most one in-edge.
-  std::vector<std::pair<NodeId, NodeId>> live_edges;
-  live_edges.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    const double r = rng->NextDouble();
-    double cumulative = 0.0;
-    for (NodeId u : graph.InNeighbors(v)) {
-      const auto e = graph.FindEdge(u, v);
-      SOI_CHECK(e.ok());
-      cumulative += graph.EdgeProb(*e);
-      if (r < cumulative) {
-        live_edges.emplace_back(u, v);
-        break;
-      }
-    }
-  }
-  return Csr::FromEdges(n, std::move(live_edges), /*dedupe=*/false);
-}
-
 Result<LtWorldSampler> LtWorldSampler::Create(const ProbGraph& graph) {
   SOI_RETURN_IF_ERROR(ValidateLtWeights(graph));
   LtWorldSampler sampler(&graph);
@@ -87,6 +65,7 @@ Result<LtWorldSampler> LtWorldSampler::Create(const ProbGraph& graph) {
 }
 
 Csr LtWorldSampler::Sample(Rng* rng) const {
+  const WorldCoins coins(rng);
   const NodeId n = graph_->num_nodes();
   std::vector<std::pair<NodeId, NodeId>> live_edges;
   live_edges.reserve(n);
@@ -94,7 +73,7 @@ Csr LtWorldSampler::Sample(Rng* rng) const {
     const uint64_t begin = rev_offsets_[v];
     const uint64_t end = rev_offsets_[v + 1];
     if (begin == end) continue;
-    const double r = rng->NextDouble();
+    const double r = coins.Node(v);
     if (r >= rev_cumulative_[end - 1]) continue;  // keep no in-edge
     // First cumulative weight exceeding r identifies the live in-edge.
     const auto it = std::upper_bound(rev_cumulative_.begin() + begin,

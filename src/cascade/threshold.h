@@ -35,21 +35,18 @@ Status ValidateLtWeights(const ProbGraph& graph, double eps = 1e-9);
 Result<ProbGraph> NormalizeLtWeights(const ProbGraph& graph,
                                      double target = 1.0);
 
-/// Samples an LT live-edge world: every node keeps at most one in-edge,
-/// chosen with probability proportional to (and equal to) its weight.
-/// Requires ValidateLtWeights to hold; call NormalizeLtWeights first if
-/// unsure. Returned CSR is over the same node ids (forward direction).
-Result<Csr> SampleLtWorld(const ProbGraph& graph, Rng* rng);
-
-/// Amortized LT world sampler: validates once and precomputes per-node
-/// cumulative in-weights, so each Sample() is O(n + m) with no edge lookups.
-/// Use this when drawing many worlds (e.g. index construction).
+/// LT world sampler: validates the weights once (ValidateLtWeights; call
+/// NormalizeLtWeights first if unsure) and precomputes per-node cumulative
+/// in-weights, so each Sample() is O(n + m) with no edge lookups.
 class LtWorldSampler {
  public:
   /// `graph` must outlive the sampler.
   static Result<LtWorldSampler> Create(const ProbGraph& graph);
 
-  /// Draws one live-edge world.
+  /// Draws one live-edge world: node v keeps in-arc (u, v) with probability
+  /// w(u, v) and none with probability 1 - sum_u w(u, v), decided by its
+  /// WorldCoins::Node draw. The CSR is over the same node ids (forward
+  /// direction). Advances `rng` by one word.
   Csr Sample(Rng* rng) const;
 
  private:
@@ -64,7 +61,7 @@ class LtWorldSampler {
 };
 
 /// Direct LT simulation with explicit random thresholds; distributionally
-/// identical to ReachableFromSet(SampleLtWorld(g), seeds). Provided for
+/// identical to ReachableFromSet(LtWorldSampler::Sample, seeds). Provided for
 /// testing the equivalence and for callers that want activation order.
 Result<std::vector<NodeId>> SimulateLtCascade(const ProbGraph& graph,
                                               std::span<const NodeId> seeds,

@@ -4,14 +4,6 @@
 
 namespace soi {
 
-void SampleWorldMask(const ProbGraph& graph, Rng* rng, BitVector* mask) {
-  if (mask->size() != graph.num_edges()) mask->Resize(graph.num_edges());
-  mask->Reset();
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (rng->NextBernoulli(graph.EdgeProb(e))) mask->Set(e);
-  }
-}
-
 Csr WorldFromMask(const ProbGraph& graph, const BitVector& mask) {
   SOI_CHECK(mask.size() == graph.num_edges());
   const NodeId n = graph.num_nodes();
@@ -30,6 +22,7 @@ Csr WorldFromMask(const ProbGraph& graph, const BitVector& mask) {
 }
 
 Csr SampleWorld(const ProbGraph& graph, Rng* rng) {
+  const WorldCoins coins(rng);
   const NodeId n = graph.num_nodes();
   Csr world;
   world.offsets.assign(n + 1, 0);
@@ -37,7 +30,7 @@ Csr SampleWorld(const ProbGraph& graph, Rng* rng) {
     const auto nbrs = graph.OutNeighbors(u);
     const auto probs = graph.OutProbs(u);
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (rng->NextBernoulli(probs[i])) world.targets.push_back(nbrs[i]);
+      if (coins.Arc(u, nbrs[i]) < probs[i]) world.targets.push_back(nbrs[i]);
     }
     world.offsets[u + 1] = static_cast<uint32_t>(world.targets.size());
   }

@@ -15,13 +15,47 @@ namespace soi {
 /// the reachable set of s in a sampled world has exactly the distribution of
 /// the IC cascade from s, which is what the whole index machinery exploits.
 
-/// Samples the edge-presence mask of a world: bit e set iff edge e exists.
-void SampleWorldMask(const ProbGraph& graph, Rng* rng, BitVector* mask);
+/// The random draws of one world (DESIGN §13.1). A world takes ONE 64-bit
+/// key from its stream; every draw in it is then a pure function of that key
+/// and of what the draw decides: an arc (u, v) under Independent Cascade, a
+/// node v under Linear Threshold. No draw depends on edge order or on any
+/// other edge, so inserting, deleting or re-weighting one arc leaves every
+/// other draw of every world unchanged — which is what lets src/dynamic/
+/// re-derive a world from an updated graph and get exactly the world a fresh
+/// build of that graph samples.
+class WorldCoins {
+ public:
+  /// Draws the world key: the first word of the world's stream.
+  explicit WorldCoins(Rng* stream) : key_(stream->Next()) {}
 
-/// Materializes a world's adjacency from an edge mask.
+  /// IC coin of arc (u, v), uniform in [0, 1): the arc is live iff the coin
+  /// is below p(u, v).
+  double Arc(NodeId u, NodeId v) const {
+    return Unit(((static_cast<uint64_t>(u) + 1) << 32) | v);
+  }
+
+  /// LT draw of node v, uniform in [0, 1): it selects the first in-arc (in
+  /// ascending source order) whose cumulative in-weight exceeds it, or none.
+  double Node(NodeId v) const { return Unit(v); }
+
+ private:
+  // One mix step over the world key and the draw's key. Arc keys have a
+  // nonzero high half and node keys a zero one, so the key spaces are
+  // disjoint.
+  double Unit(uint64_t what) const {
+    const uint64_t z = SplitMix64::Mix(key_ ^ (what * 0x9E3779B97F4A7C15ull));
+    return static_cast<double>(z >> 11) * 0x1.0p-53;
+  }
+
+  uint64_t key_;
+};
+
+/// Materializes a world's adjacency from an edge mask (bit e set iff edge e
+/// is live).
 Csr WorldFromMask(const ProbGraph& graph, const BitVector& mask);
 
-/// Samples and materializes a world in one pass (no mask kept).
+/// Samples an Independent Cascade world: arc (u, v) is live iff its
+/// WorldCoins::Arc coin is below p(u, v). Advances `rng` by one word.
 Csr SampleWorld(const ProbGraph& graph, Rng* rng);
 
 /// Set of nodes reachable from `source` in a deterministic world

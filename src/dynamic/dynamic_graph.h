@@ -37,7 +37,7 @@ struct GraphUpdate {
 /// canonical: materializing to a ProbGraph and sampling worlds straight off
 /// this structure visit edges in exactly the same (src, dst) order, which
 /// is what makes incremental re-sampling byte-identical to a fresh build
-/// (see dynamic/keyed_sampler.h).
+/// (see WorldCoins in cascade/world.h).
 ///
 /// Mutations are O(degree) (vector insert into a sorted neighborhood);
 /// fine for the update-stream workloads this serves, where per-update index

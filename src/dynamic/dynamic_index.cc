@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "cascade/threshold.h"
 #include "core/typical_cascade.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
@@ -23,47 +22,107 @@ bool SameCascade(std::span<const NodeId> a, std::span<const NodeId> b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
+// The in-arc of v that LT `draw` selects: the first source, in ascending
+// order, whose cumulative in-weight exceeds the draw, or kInvalidNode. The
+// weights accumulate in LtWorldSampler's order, so both pick the same arc.
+NodeId LtSelect(const DynamicGraph& graph, NodeId v, double draw) {
+  double cum = 0.0;
+  for (const auto& [src, p] : graph.In(v)) {
+    cum += p;
+    if (draw < cum) return src;
+  }
+  return kInvalidNode;
+}
+
+// The world `coins` decide over the current graph. Arcs are visited in
+// (src, dst) order like SampleWorld and LtWorldSampler::Sample visit the
+// materialized graph, so the CSR is the one a fresh build samples.
+Csr SampleWorld(const DynamicGraph& graph, PropagationModel model,
+                const WorldCoins& coins) {
+  const NodeId n = graph.num_nodes();
+  if (model == PropagationModel::kLinearThreshold) {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId v = 0; v < n; ++v) {
+      const NodeId src = LtSelect(graph, v, coins.Node(v));
+      if (src != kInvalidNode) edges.emplace_back(src, v);
+    }
+    return Csr::FromEdges(n, std::move(edges), /*dedupe=*/false);
+  }
+  Csr world;
+  world.offsets.assign(n + 1, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const auto& [v, p] : graph.Out(u)) {
+      if (coins.Arc(u, v) < p) world.targets.push_back(v);
+    }
+    world.offsets[u + 1] = static_cast<uint32_t>(world.targets.size());
+  }
+  return world;
+}
+
 }  // namespace
 
 Result<DynamicIndex> DynamicIndex::Build(const ProbGraph& graph,
                                          const CascadeIndexOptions& options,
                                          uint64_t seed) {
-  if (options.num_worlds == 0) {
-    return Status::InvalidArgument("DynamicIndex: num_worlds must be >= 1");
-  }
-  if (graph.num_nodes() == 0) {
-    return Status::InvalidArgument("DynamicIndex: empty graph");
-  }
-  if (options.model == PropagationModel::kLinearThreshold) {
-    SOI_RETURN_IF_ERROR(ValidateLtWeights(graph));
-  }
   SOI_OBS_SPAN("dynamic/build");
   DynamicIndex out;
+  Rng rng(seed);
+  SOI_ASSIGN_OR_RETURN(out.index_, CascadeIndex::Build(graph, options, &rng));
   out.graph_ = DynamicGraph::FromGraph(graph);
   out.options_ = options;
-  out.seed_ = seed;
-
-  const KeyedWorldSampler sampler = out.Sampler();
-  std::vector<Condensation> worlds(options.num_worlds);
-  ParallelFor(0, options.num_worlds, /*grain=*/1, [&](uint64_t i) {
-    worlds[i] = out.DeriveWorld(sampler, static_cast<uint32_t>(i));
-  });
-  SOI_ASSIGN_OR_RETURN(
-      out.index_,
-      CascadeIndex::FromWorlds(graph.num_nodes(), std::move(worlds),
-                               options.closure_budget_mb,
-                               options.tier_policy));
+  // World i's stream is Rng(seed).Fork().Fork(i), as in CascadeIndex::Build.
+  Rng master(seed);
+  const Rng streams = master.Fork();
+  out.coins_.reserve(options.num_worlds);
+  for (uint32_t i = 0; i < options.num_worlds; ++i) {
+    Rng stream = streams.Fork(i);
+    out.coins_.emplace_back(&stream);
+  }
   return out;
 }
 
-Condensation DynamicIndex::DeriveWorld(const KeyedWorldSampler& sampler,
-                                       uint32_t i) const {
-  const Csr world = sampler.SampleWorld(i);
-  Condensation cond = Condensation::Build(world);
+Condensation DynamicIndex::DeriveWorld(uint32_t i) const {
+  Condensation cond =
+      Condensation::Build(SampleWorld(graph_, options_.model, coins_[i]));
   if (options_.transitive_reduction) {
     TransitiveReduce(&cond, options_.reduction);
   }
   return cond;
+}
+
+GraphUpdate DynamicIndex::ApplyAndMark(const GraphUpdate& update,
+                                       std::vector<uint32_t>* affected) {
+  const NodeId src = update.src;
+  const NodeId dst = update.dst;
+  const bool lt = options_.model == PropagationModel::kLinearThreshold;
+  // World i's live in-arc of dst among those the update can change: under
+  // IC the touched arc itself (src, or none; `p` is its probability, 0 when
+  // absent), under LT dst's selected one.
+  const auto live_source = [&](uint32_t i, double p) {
+    if (lt) return LtSelect(graph_, dst, coins_[i].Node(dst));
+    return coins_[i].Arc(src, dst) < p ? src : kInvalidNode;
+  };
+  const auto arc_prob = [&] {
+    const Result<double> p = graph_.EdgeProb(src, dst);
+    return p.ok() ? *p : 0.0;
+  };
+  const uint32_t num_worlds = index_.num_worlds();
+  const double p_old = arc_prob();
+  std::vector<NodeId> before(num_worlds);
+  for (uint32_t i = 0; i < num_worlds; ++i) before[i] = live_source(i, p_old);
+  Result<GraphUpdate> inverse = graph_.Inverse(update);
+  SOI_CHECK(inverse.ok());  // validated by the caller; the arc state is known
+  const Status applied = graph_.Apply(update);
+  SOI_CHECK(applied.ok());
+  const double p_new = arc_prob();
+  for (uint32_t i = 0; i < num_worlds; ++i) {
+    if (live_source(i, p_new) != before[i] &&
+        world_mark_[i] != world_stamp_) {
+      world_mark_[i] = world_stamp_;
+      affected->push_back(i);
+    }
+  }
+  return std::move(*inverse);
 }
 
 Status DynamicIndex::ValidateLtBudget(const GraphUpdate& update) const {
@@ -102,11 +161,10 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
   }
 
   // Phase 1 — apply the batch to the graph, atomically. Each update
-  // validates against the state its predecessors left; its affected-world
-  // set and its inverse are taken against that same pre-op state (the
-  // keyed coins never move, so per-op affected sets compose by union: a
+  // validates against the state its predecessors left, and its affected
+  // worlds are those whose live-edge set it changes at that step (the
+  // keyed draws never move, so per-op affected sets compose by union: a
   // world outside the union kept its live-edge selection at every step).
-  const KeyedWorldSampler sampler = Sampler();
   std::vector<uint32_t> affected;
   std::vector<GraphUpdate> undo;
   undo.reserve(updates.size());
@@ -118,13 +176,7 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
       failure = ValidateLtBudget(update);
     }
     if (!failure.ok()) break;
-    sampler.AffectedWorlds(update, num_worlds, &world_mark_, world_stamp_,
-                           &affected);
-    Result<GraphUpdate> inverse = graph_.Inverse(update);
-    SOI_CHECK(inverse.ok());  // Validate passed; the arc state is known
-    undo.push_back(std::move(*inverse));
-    const Status applied = graph_.Apply(update);
-    SOI_CHECK(applied.ok());
+    undo.push_back(ApplyAndMark(update, &affected));
   }
   if (!failure.ok()) {
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
@@ -166,7 +218,7 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
                                                           : 0);
   std::atomic<bool> closure_over{false};
   ParallelFor(0, affected.size(), /*grain=*/1, [&](uint64_t k) {
-    new_worlds[k] = DeriveWorld(sampler, affected[k]);
+    new_worlds[k] = DeriveWorld(affected[k]);
     if (had_cache) {
       ReachabilityClosure cl =
           BuildReachabilityClosure(new_worlds[k], budget_bytes / 4);

@@ -5,8 +5,8 @@
 #include <span>
 #include <vector>
 
+#include "cascade/world.h"
 #include "dynamic/dynamic_graph.h"
-#include "dynamic/keyed_sampler.h"
 #include "index/cascade_index.h"
 #include "util/flat_sets.h"
 #include "util/status.h"
@@ -35,21 +35,17 @@ struct UpdateStats {
 /// typical-cascade table, kept consistent under EdgeInsert / EdgeDelete /
 /// UpdateProb streams.
 ///
+/// Build is CascadeIndex::Build(graph, options, Rng(seed)), so a dynamic
+/// and a static index of one graph, options and seed are the same index.
 /// The maintenance contract is *exact rebuild equivalence*: after any
 /// sequence of successful ApplyUpdates batches, the index (serialized
 /// bytes) and every query answer are byte-identical to those of
-/// `DynamicIndex::Build(materialized graph, same options, same seed)`.
-/// This is possible because world sampling is keyed — every coin is a pure
-/// function of (seed, world, edge identity), see dynamic/keyed_sampler.h —
-/// so a batch only needs to re-derive the worlds whose touched-edge coins
-/// actually flipped an edge's liveness; all other worlds are provably
-/// bit-identical to what a fresh build would produce.
-///
-/// NOTE: keyed sampling draws a different coin sequence than the static
-/// CascadeIndex::Build path (which consumes each world stream
-/// sequentially), so a DynamicIndex and a static index built from the same
-/// seed are different — equally valid — samples of the same distribution.
-/// Parity claims are always dynamic-vs-dynamic.
+/// `CascadeIndex::Build(materialized graph, same options, Rng(seed))`.
+/// This is possible because world sampling is keyed — every draw is a pure
+/// function of (seed, world, arc or node), see WorldCoins in
+/// cascade/world.h — so a batch only needs to re-derive the worlds whose
+/// touched-arc draws actually changed the live-edge set; all other worlds
+/// are provably bit-identical to what a fresh build would produce.
 ///
 /// Closure-cache policy under updates mirrors the build-time all-or-nothing
 /// budget: affected worlds' closures are recomputed; if the patched total
@@ -65,10 +61,10 @@ struct UpdateStats {
 /// the same.
 class DynamicIndex {
  public:
-  /// Samples `options.num_worlds` keyed worlds from `graph` and builds the
-  /// index (LT instances are weight-validated first). `seed` plays the
-  /// role of EngineOptions::seed: same graph + options + seed => same
-  /// index, forever, updates included.
+  /// Builds the index as CascadeIndex::Build(graph, options, Rng(seed))
+  /// does and keeps a mutable copy of the graph. `seed` plays the role of
+  /// EngineOptions::seed: same graph + options + seed => same index,
+  /// forever, updates included.
   static Result<DynamicIndex> Build(const ProbGraph& graph,
                                     const CascadeIndexOptions& options,
                                     uint64_t seed);
@@ -84,7 +80,6 @@ class DynamicIndex {
   const CascadeIndex& index() const { return index_; }
   const DynamicGraph& graph() const { return graph_; }
   const CascadeIndexOptions& options() const { return options_; }
-  uint64_t seed() const { return seed_; }
 
   /// Applied updates since Build. The drift-rebuild policy (DESIGN §13.4)
   /// swaps in a freshly built engine when this crosses a threshold —
@@ -113,15 +108,19 @@ class DynamicIndex {
  private:
   DynamicIndex() = default;
 
-  KeyedWorldSampler Sampler() const {
-    return KeyedWorldSampler(&graph_, options_.model, seed_);
-  }
+  // Re-derives world i's condensation from the current graph, as
+  // CascadeIndex::Build derives it from the materialized graph: the same
+  // WorldCoins over the same (src, dst) order → SCC → optional transitive
+  // reduction.
+  Condensation DeriveWorld(uint32_t i) const;
 
-  // Builds one world's condensation from the current graph (keyed sample →
-  // SCC → optional transitive reduction). The single code path both Build
-  // and ApplyUpdates use, which is what makes them agree byte-for-byte.
-  Condensation DeriveWorld(const KeyedWorldSampler& sampler,
-                           uint32_t i) const;
+  // Applies a validated `update` to the graph, adds to `affected`
+  // (deduplicated via world_mark_) every world whose live-edge set it
+  // changes, and returns its inverse. IC: the arc's liveness differs under
+  // its old and new probability. LT: dst's selected in-arc differs before
+  // and after the update.
+  GraphUpdate ApplyAndMark(const GraphUpdate& update,
+                           std::vector<uint32_t>* affected);
 
   // LT-only: incremental weight-budget check for an op (in-weights of the
   // target must stay <= 1).
@@ -129,8 +128,8 @@ class DynamicIndex {
 
   DynamicGraph graph_;
   CascadeIndexOptions options_;
-  uint64_t seed_ = 0;
   CascadeIndex index_;
+  std::vector<WorldCoins> coins_;  // world i's draws, as Build sampled them
   uint64_t drift_ = 0;
 
   bool typical_ready_ = false;

@@ -19,7 +19,7 @@ namespace {
 
 // Resident-byte estimate of one condensation: the I[v, i] column, the
 // members CSR and the DAG CSR. One formula for every construction path so
-// Build, FromWorlds and FromParts report identical approx_bytes.
+// Build and FromParts report identical approx_bytes.
 uint64_t CondensationApproxBytes(const Condensation& c) {
   return 4ull * c.comp_of().size() +         // I[v, i] column
          4ull * (c.num_components() + 1) +   // members offsets
@@ -363,37 +363,6 @@ Result<CascadeIndex> CascadeIndex::Build(const ProbGraph& graph,
   return index;
 }
 
-Result<CascadeIndex> CascadeIndex::AssembleWorlds(
-    NodeId num_nodes, std::vector<Condensation> worlds) {
-  if (num_nodes == 0) return Status::InvalidArgument("empty node set");
-  if (worlds.empty()) return Status::InvalidArgument("no worlds");
-  for (const Condensation& c : worlds) {
-    if (c.num_nodes() != num_nodes) {
-      return Status::InvalidArgument("condensation node count mismatch");
-    }
-  }
-  CascadeIndex index;
-  index.num_nodes_ = num_nodes;
-  index.worlds_ = std::move(worlds);
-  index.tiers_.assign(index.worlds_.size(), WorldTier::kTraversal);
-  index.ComputeSharedStats();
-  // Prebuilt condensations carry only the stored (possibly reduced) DAG, so
-  // the pre-reduction edge count is unrecoverable here; report the stored
-  // count for both so the stats stay self-consistent.
-  index.stats_.avg_dag_edges_before = index.stats_.avg_dag_edges_after;
-  return index;
-}
-
-Result<CascadeIndex> CascadeIndex::FromWorlds(NodeId num_nodes,
-                                              std::vector<Condensation> worlds,
-                                              uint64_t closure_budget_mb,
-                                              ClosureTierPolicy tier_policy) {
-  SOI_ASSIGN_OR_RETURN(CascadeIndex index,
-                       AssembleWorlds(num_nodes, std::move(worlds)));
-  index.BuildClosureCache(closure_budget_mb << 20, tier_policy);
-  return index;
-}
-
 Result<CascadeIndex> CascadeIndex::FromParts(
     NodeId num_nodes, std::vector<Condensation> worlds,
     std::vector<ReachabilityClosure> closures, std::vector<ReachLabels> labels,
@@ -447,8 +416,21 @@ Result<CascadeIndex> CascadeIndex::FromParts(
       }
     }
   }
-  SOI_ASSIGN_OR_RETURN(CascadeIndex index,
-                       AssembleWorlds(num_nodes, std::move(worlds)));
+  if (num_nodes == 0) return Status::InvalidArgument("empty node set");
+  if (n == 0) return Status::InvalidArgument("no worlds");
+  for (const Condensation& c : worlds) {
+    if (c.num_nodes() != num_nodes) {
+      return Status::InvalidArgument("condensation node count mismatch");
+    }
+  }
+  CascadeIndex index;
+  index.num_nodes_ = num_nodes;
+  index.worlds_ = std::move(worlds);
+  index.ComputeSharedStats();
+  // Prebuilt condensations carry only the stored (possibly reduced) DAG, so
+  // the pre-reduction edge count is unrecoverable here; report the stored
+  // count for both so the stats stay self-consistent.
+  index.stats_.avg_dag_edges_before = index.stats_.avg_dag_edges_after;
   index.tiers_ = std::move(tiers);
   if (n_mat > 0) index.closures_ = std::move(closures);
   if (n_lab > 0) index.labels_ = std::move(labels);

@@ -104,8 +104,8 @@ struct CascadeIndexStats {
   double avg_dag_edges_before = 0.0;
   double avg_dag_edges_after = 0.0;
   /// Estimated resident bytes of the index payload: condensations plus the
-  /// retained reachability cache (closures + labels). Build, FromWorlds and
-  /// FromParts share one accounting.
+  /// retained reachability cache (closures + labels). Build and FromParts
+  /// share one accounting.
   uint64_t approx_bytes = 0;
   /// Bytes of the retained materialized closures (0 when none).
   uint64_t closure_bytes = 0;
@@ -189,15 +189,6 @@ class CascadeIndex {
   static Result<CascadeIndex> Build(const ProbGraph& graph,
                                     const CascadeIndexOptions& options,
                                     Rng* rng);
-
-  /// Assembles an index from prebuilt condensations (the keyed-sampling
-  /// path of src/dynamic/). All condensations must cover `num_nodes` nodes.
-  /// The reachability cache is derived data and is built here under
-  /// `closure_budget_mb` and `tier_policy`, exactly as Build would.
-  static Result<CascadeIndex> FromWorlds(
-      NodeId num_nodes, std::vector<Condensation> worlds,
-      uint64_t closure_budget_mb = DefaultClosureBudgetMb(),
-      ClosureTierPolicy tier_policy = DefaultClosureTierPolicy());
 
   /// Assembles an index from prebuilt condensations AND prebuilt
   /// reachability state (the snapshot load path: everything typically
@@ -315,7 +306,7 @@ class CascadeIndex {
   /// closure_bytes from the current worlds and closures after a patch
   /// batch. Pre-reduction DAG edge counts are not observable here, so
   /// avg_dag_edges_before is reported equal to the stored count (the same
-  /// convention as FromWorlds and FromParts).
+  /// convention as FromParts).
   void RecomputeStats();
 
   /// Validates a query seed set: non-empty, every id < num_nodes(). The
@@ -394,17 +385,11 @@ class CascadeIndex {
   void CascadeInto(std::span<const NodeId> seeds, uint32_t i, Workspace* ws,
                    std::vector<NodeId>* out) const;
 
-  // The assembly step FromWorlds and FromParts share: validates the
-  // condensations, installs them with every world on the traversal tier and
-  // fills the shared stats. Builds no reachability state.
-  static Result<CascadeIndex> AssembleWorlds(NodeId num_nodes,
-                                             std::vector<Condensation> worlds);
-
   // Fills avg_components / avg_dag_edges_after / approx_bytes from worlds_
   // (one accounting shared by every construction path; closure bytes are
   // added by BuildClosureCache). Leaves avg_dag_edges_before to the caller:
-  // only Build observes pre-reduction edge counts, AssembleWorlds sets it
-  // equal to the stored (post-reduction) count.
+  // only Build observes pre-reduction edge counts, FromParts sets it equal
+  // to the stored (post-reduction) count.
   void ComputeSharedStats();
 
   // Assigns every world its storage tier under `budget_bytes` and `policy`

@@ -279,12 +279,10 @@ class Engine {
   static Result<Engine> Create(ProbGraph graph,
                                const EngineOptions& options = {});
 
-  /// Builds an incrementally maintainable engine (keyed world sampling,
-  /// see src/dynamic/): accepts UpdateRequest batches, keeps a journal for
-  /// drift rebuilds, and stays byte-identical to a fresh CreateDynamic on
-  /// the updated graph after every batch. NOTE: keyed sampling draws
-  /// different worlds than Create for the same seed — both are valid
-  /// samples, but answers differ between the two constructors.
+  /// Builds an incrementally maintainable engine (see src/dynamic/) over
+  /// the same index Create builds: accepts UpdateRequest batches, keeps a
+  /// journal for drift rebuilds, and stays byte-identical to a fresh Create
+  /// or CreateDynamic on the updated graph after every batch.
   static Result<Engine> CreateDynamic(ProbGraph graph,
                                       const EngineOptions& options = {});
 

@@ -1,8 +1,11 @@
 #include "snapshot/writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include "infmax/sketch_oracle.h"
@@ -32,11 +35,12 @@ Staged Stage(SectionKind kind, const T* data, uint64_t count) {
   return Staged{kind, sizeof(T), data, count};
 }
 
-}  // namespace
-
-Result<std::string> SerializeSnapshot(const ProbGraph& graph,
-                                      const CascadeIndex& index,
-                                      const SnapshotWriteOptions& options) {
+// Lays out the snapshot and hands its bytes to `emit(const void*, size_t)`
+// in file order, so the whole file is never held in one buffer: sections go
+// out straight from the graph, the index pools and the typical table.
+template <typename Emit>
+Status EmitSnapshot(const ProbGraph& graph, const CascadeIndex& index,
+                    const SnapshotWriteOptions& options, Emit&& emit) {
   const uint32_t n = graph.num_nodes();
   const uint32_t w = index.num_worlds();
   const uint64_t m = graph.num_edges();
@@ -311,14 +315,8 @@ Result<std::string> SerializeSnapshot(const ProbGraph& graph,
     cursor = AlignUp(cursor + table[i].byte_size);
   }
   const uint64_t file_size = cursor;
-
-  std::string out(file_size, '\0');
   for (uint32_t i = 0; i < count; ++i) {
-    if (table[i].byte_size > 0) {
-      std::memcpy(out.data() + table[i].offset, sections[i].data,
-                  table[i].byte_size);
-    }
-    table[i].crc32c = Crc32c(out.data() + table[i].offset, table[i].byte_size);
+    table[i].crc32c = Crc32c(sections[i].data, table[i].byte_size);
   }
 
   SnapshotHeader header{};
@@ -342,38 +340,78 @@ Result<std::string> SerializeSnapshot(const ProbGraph& graph,
   header.section_count = count;
   header.header_crc32c = 0;
   header.graph_fingerprint = GraphFingerprint(graph);
-  std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(header), table.data(),
+  std::string head(sizeof(header) + count * sizeof(SectionEntry), '\0');
+  std::memcpy(head.data(), &header, sizeof(header));
+  std::memcpy(head.data() + sizeof(header), table.data(),
               count * sizeof(SectionEntry));
   // Header CRC covers header (crc field zeroed, as it is right now) + table.
-  const uint32_t hcrc =
-      Crc32c(out.data(), sizeof(header) + count * sizeof(SectionEntry));
-  std::memcpy(out.data() + offsetof(SnapshotHeader, header_crc32c), &hcrc,
+  const uint32_t hcrc = Crc32c(head.data(), head.size());
+  std::memcpy(head.data() + offsetof(SnapshotHeader, header_crc32c), &hcrc,
               sizeof(hcrc));
+  // Payloads start 64-byte aligned; the gaps are zeros.
+  static constexpr char kZeros[kSnapshotAlign] = {};
+  emit(head.data(), head.size());
+  uint64_t at = head.size();
+  for (uint32_t i = 0; i < count; ++i) {
+    emit(kZeros, table[i].offset - at);
+    if (table[i].byte_size > 0) emit(sections[i].data, table[i].byte_size);
+    at = table[i].offset + table[i].byte_size;
+  }
+  emit(kZeros, file_size - at);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> SerializeSnapshot(const ProbGraph& graph,
+                                      const CascadeIndex& index,
+                                      const SnapshotWriteOptions& options) {
+  std::string out;
+  SOI_RETURN_IF_ERROR(EmitSnapshot(
+      graph, index, options, [&out](const void* data, size_t size) {
+        out.append(static_cast<const char*>(data), size);
+      }));
   return out;
 }
 
 Status WriteSnapshot(const ProbGraph& graph, const CascadeIndex& index,
                      const std::string& path,
                      const SnapshotWriteOptions& options) {
-  SOI_ASSIGN_OR_RETURN(const std::string bytes,
-                       SerializeSnapshot(graph, index, options));
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp + "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IOError("write to '" + tmp + "' failed");
-    }
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) {
+    return Status::IOError("cannot open '" + tmp + "' for writing");
+  }
+  bool ok = true;
+  const Status laid = EmitSnapshot(
+      graph, index, options, [&](const void* data, size_t size) {
+        ok = ok && std::fwrite(data, 1, size, out) == size;
+      });
+  // The bytes must be on disk before the rename publishes them: otherwise a
+  // crash after the rename can leave `path` naming a torn file.
+  ok = laid.ok() && ok && std::fflush(out) == 0 &&
+       ::fsync(::fileno(out)) == 0;
+  ok = std::fclose(out) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    if (!laid.ok()) return laid;
+    return Status::IOError("write to '" + tmp + "' failed");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::IOError("rename '" + tmp + "' -> '" + path + "' failed");
+  }
+  // Sync the directory so the rename itself survives a crash.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos
+                              ? "."
+                              : path.substr(0, std::max<size_t>(slash, 1));
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!synced) {
+    return Status::IOError("wrote '" + path + "' but cannot sync directory '" +
+                           dir + "'");
   }
   return Status::OK();
 }

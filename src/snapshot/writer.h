@@ -49,10 +49,13 @@ Result<std::string> SerializeSnapshot(const ProbGraph& graph,
                                       const CascadeIndex& index,
                                       const SnapshotWriteOptions& options = {});
 
-/// Serializes and writes atomically (temp file in the same directory +
-/// rename), so a crashed create never leaves a half-written snapshot at the
-/// target path and a concurrent server hot-reloading the path never maps a
-/// torn file.
+/// Serializes and writes atomically and durably: the bytes go to
+/// `path + ".tmp"` (a leftover one from a killed writer is overwritten),
+/// which is fsync'ed, renamed over `path`, and the directory fsync'ed. So a
+/// crashed create never leaves a half-written snapshot at the target path,
+/// a concurrent server hot-reloading the path never maps a torn file, and a
+/// returned OK survives power loss. A failed write or file sync removes the
+/// temp file and returns IOError.
 Status WriteSnapshot(const ProbGraph& graph, const CascadeIndex& index,
                      const std::string& path,
                      const SnapshotWriteOptions& options = {});

@@ -14,8 +14,11 @@ class SplitMix64 {
  public:
   explicit SplitMix64(uint64_t seed) : state_(seed) {}
 
-  uint64_t Next() {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+  uint64_t Next() { return Mix(state_ += 0x9E3779B97F4A7C15ull); }
+
+  /// The output finalizer on its own: a bijective 64-bit mix with full
+  /// avalanche, for hashing a key straight to a uniform word.
+  static uint64_t Mix(uint64_t z) {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);

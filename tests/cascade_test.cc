@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -46,11 +47,10 @@ TEST(WorldTest, MaskRespectsExtremes) {
   const auto g = b.Build();
   ASSERT_TRUE(g.ok());
   Rng rng(1);
-  BitVector mask;
   for (int i = 0; i < 100; ++i) {
-    SampleWorldMask(*g, &rng, &mask);
-    EXPECT_TRUE(mask.Test(0));    // p = 1 edge always present
-    EXPECT_FALSE(mask.Test(1));   // p ~ 0 edge essentially never
+    const Csr world = SampleWorld(*g, &rng);
+    EXPECT_EQ(world.Neighbors(0).size(), 1u);  // p = 1 edge always present
+    EXPECT_TRUE(world.Neighbors(1).empty());   // p ~ 0 edge essentially never
   }
 }
 
@@ -59,10 +59,11 @@ TEST(WorldTest, EdgeFrequencyMatchesProbability) {
   Rng rng(2);
   const int trials = 20000;
   std::vector<int> present(g.num_edges(), 0);
-  BitVector mask;
   for (int i = 0; i < trials; ++i) {
-    SampleWorldMask(g, &rng, &mask);
-    for (EdgeId e = 0; e < g.num_edges(); ++e) present[e] += mask.Test(e);
+    const Csr world = SampleWorld(g, &rng);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : world.Neighbors(u)) ++present[g.FindEdge(u, v).value()];
+    }
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_NEAR(static_cast<double>(present[e]) / trials, g.EdgeProb(e), 0.015)
@@ -70,14 +71,60 @@ TEST(WorldTest, EdgeFrequencyMatchesProbability) {
   }
 }
 
+// Keyed coins are one mix step over (world key, arc key), so related keys
+// could give correlated coins. Arcs sharing a node, and one arc in
+// consecutive worlds, must be jointly live at the product of their
+// probabilities, within a 4σ binomial band.
+TEST(WorldTest, KeyedCoinsAreIndependent) {
+  ProbGraphBuilder b(6);
+  ASSERT_TRUE(b.AddEdge(0, 1, 0.3).ok());  // two arcs out of node 0
+  ASSERT_TRUE(b.AddEdge(0, 2, 0.6).ok());
+  ASSERT_TRUE(b.AddEdge(3, 5, 0.4).ok());  // two arcs into node 5
+  ASSERT_TRUE(b.AddEdge(4, 5, 0.7).ok());
+  const auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const auto live = [](const Csr& world, NodeId u, NodeId v) {
+    const auto nbrs = world.Neighbors(u);
+    return std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
+  };
+  // World i draws from stream i of one family, as CascadeIndex::Build does.
+  Rng master(12);
+  const Rng streams = master.Fork();
+  const int worlds = 20000;
+  int out_pair = 0, in_pair = 0, consecutive = 0;
+  bool prev_live = false;
+  for (int i = 0; i < worlds; ++i) {
+    Rng stream = streams.Fork(i);
+    const Csr world = SampleWorld(*g, &stream);
+    const bool a01 = live(world, 0, 1);
+    out_pair += a01 && live(world, 0, 2);
+    in_pair += live(world, 3, 5) && live(world, 4, 5);
+    if (i > 0) consecutive += prev_live && a01;
+    prev_live = a01;
+  }
+  const auto expect_within_band = [](int hits, int trials, double q,
+                                     const char* what) {
+    const double sigma = std::sqrt(q * (1.0 - q) / trials);
+    EXPECT_NEAR(static_cast<double>(hits) / trials, q, 4.0 * sigma) << what;
+  };
+  expect_within_band(out_pair, worlds, 0.3 * 0.6, "arcs out of one node");
+  expect_within_band(in_pair, worlds, 0.4 * 0.7, "arcs into one node");
+  expect_within_band(consecutive, worlds - 1, 0.3 * 0.3,
+                     "one arc in worlds i and i+1");
+}
+
 TEST(WorldTest, WorldFromMaskMatchesSampleWorldShape) {
   const ProbGraph g = PaperExampleGraph();
-  Rng rng(3);
-  BitVector mask;
-  SampleWorldMask(g, &rng, &mask);
+  BitVector mask(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); e += 2) mask.Set(e);
   const Csr world = WorldFromMask(g, mask);
   EXPECT_EQ(world.num_nodes(), g.num_nodes());
   EXPECT_EQ(world.num_edges(), mask.Count());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : world.Neighbors(u)) {
+      EXPECT_TRUE(mask.Test(g.FindEdge(u, v).value()));
+    }
+  }
 }
 
 TEST(WorldTest, ReachableFromSingleNodeNoEdges) {

@@ -5,7 +5,8 @@
 // sequence of successful update batches, the incrementally maintained
 // engine must be indistinguishable — snapshot bytes of its index, graph
 // fingerprint, and every query answer — from a fresh CreateDynamic engine
-// built from the updated graph with the same options and seed.
+// and a fresh static Create engine built from the updated graph with the
+// same options and seed.
 //
 // The harness drives >= 1000 randomized insert / delete / prob-update ops
 // per model through the engine in small batches, interleaved with typical /
@@ -13,7 +14,8 @@
 // form a transcript), and at every ~100-op checkpoint rebuilds from scratch
 // and byte-compares. The whole run executes twice, at 1 and at 8 threads;
 // transcripts and final snapshot bytes must match exactly (the runtime
-// determinism contract extends to the update path).
+// determinism contract extends to the update path). A separate test pins
+// the starting point: DynamicIndex::Build is the static CascadeIndex::Build.
 
 #include <cstdint>
 #include <map>
@@ -24,7 +26,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cascade/threshold.h"
 #include "dynamic/dynamic_graph.h"
+#include "dynamic/dynamic_index.h"
+#include "gen/generators.h"
+#include "graph/prob_assign.h"
 #include "graph/prob_graph.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
@@ -228,23 +234,31 @@ FuzzRun RunFuzz(PropagationModel model, uint32_t threads) {
     if (run.applied < next_checkpoint && run.applied < kMinOps) continue;
     next_checkpoint += kCheckpointEvery;
 
-    // Checkpoint: a from-scratch build on the updated graph must agree
-    // byte-for-byte — index, fingerprint, and probe answers.
+    // Checkpoint: from-scratch builds on the updated graph — dynamic and
+    // static — must agree byte-for-byte: index, fingerprint, and probe
+    // answers.
     auto state = engine->CaptureDynamicState();
     EXPECT_TRUE(state.ok()) << state.status().ToString();
     if (!state.ok()) break;
     const uint64_t live_fp = engine->fingerprint();
     EXPECT_EQ(live_fp, GraphFingerprint(state->graph));
-    auto fresh = Engine::CreateDynamic(std::move(state->graph), options);
+    auto fresh = Engine::CreateDynamic(state->graph, options);
+    auto fresh_static = Engine::Create(std::move(state->graph), options);
     EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
-    if (!fresh.ok()) break;
-    EXPECT_EQ(IndexBytes(fresh->graph(), *engine),
-              IndexBytes(fresh->graph(), *fresh))
+    EXPECT_TRUE(fresh_static.ok()) << fresh_static.status().ToString();
+    if (!fresh.ok() || !fresh_static.ok()) break;
+    const std::string live_bytes = IndexBytes(fresh->graph(), *engine);
+    EXPECT_EQ(live_bytes, IndexBytes(fresh->graph(), *fresh))
         << "index bytes diverged at op " << run.applied;
+    EXPECT_EQ(live_bytes, IndexBytes(fresh->graph(), *fresh_static))
+        << "index bytes diverged from a static build at op " << run.applied;
     EXPECT_EQ(live_fp, fresh->fingerprint());
-    EXPECT_EQ(ProbeQueries(&*engine, 31 + run.applied),
-              ProbeQueries(&*fresh, 31 + run.applied))
+    const std::string live_answers = ProbeQueries(&*engine, 31 + run.applied);
+    EXPECT_EQ(live_answers, ProbeQueries(&*fresh, 31 + run.applied))
         << "query answers diverged at op " << run.applied;
+    EXPECT_EQ(live_answers, ProbeQueries(&*fresh_static, 31 + run.applied))
+        << "query answers diverged from a static build at op "
+        << run.applied;
   }
 
   auto final_state = engine->CaptureDynamicState();
@@ -274,6 +288,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PropagationModel>& info) {
       return info.param == PropagationModel::kLinearThreshold ? "Lt" : "Ic";
     });
+
+// DynamicIndex::Build is CascadeIndex::Build(graph, options, Rng(seed)):
+// identical snapshot bytes for IC with every world materialized, IC with
+// mixed tiers, and LT, at 1 and 8 threads.
+TEST(DynamicBuildTest, SnapshotBytesEqualStaticBuild) {
+  Rng gen_rng(17);
+  auto topo = GenerateRmat(10, 6000, {}, &gen_rng);
+  ASSERT_TRUE(topo.ok());
+  Rng assign_rng(18);
+  auto ic = AssignUniform(*topo, &assign_rng, 0.2, 0.5);
+  ASSERT_TRUE(ic.ok());
+  auto lt = NormalizeLtWeights(*ic, 0.9);
+  ASSERT_TRUE(lt.ok());
+  const std::tuple<const ProbGraph*, PropagationModel, uint64_t> cases[] = {
+      {&*ic, PropagationModel::kIndependentCascade, 512},
+      {&*ic, PropagationModel::kIndependentCascade, 1},  // mixed tiers
+      {&*lt, PropagationModel::kLinearThreshold, 512}};
+  for (const auto& [graph, model, budget_mb] : cases) {
+    CascadeIndexOptions options;
+    options.num_worlds = 16;
+    options.model = model;
+    options.closure_budget_mb = budget_mb;
+    options.tier_policy = ClosureTierPolicy::kAuto;
+    for (uint32_t threads : {1u, 8u}) {
+      SetGlobalThreads(threads);
+      Rng rng(kEngineSeed);
+      auto built = CascadeIndex::Build(*graph, options, &rng);
+      auto dynamic = DynamicIndex::Build(*graph, options, kEngineSeed);
+      ASSERT_TRUE(built.ok() && dynamic.ok());
+      const CascadeIndexStats& st = built->stats();
+      EXPECT_EQ(st.worlds_materialized == 16, budget_mb == 512);
+      EXPECT_EQ(st.worlds_materialized > 0 && st.worlds_labeled > 0,
+                budget_mb == 1);
+      EXPECT_TRUE(SerializeSnapshot(*graph, *built).value() ==
+                  SerializeSnapshot(*graph, dynamic->index()).value())
+          << "budget " << budget_mb << " MiB, " << threads << " threads";
+    }
+  }
+  SetGlobalThreads(0);
+}
 
 // Invalid ops must leave the engine untouched (batch atomicity seen from
 // the service layer): a batch with a bad tail op changes nothing.

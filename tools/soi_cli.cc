@@ -233,8 +233,7 @@ std::vector<CommandSpec> Commands() {
                     "snapshot is fresh for that graph)"},
                    {"dynamic", FlagType::kBool, "",
                     "build an incrementally updatable engine that accepts "
-                    "op:update batches (keyed sampling; not usable with "
-                    "--snapshot)"},
+                    "op:update batches (not usable with --snapshot)"},
                    {"drift-rebuild-threshold", FlagType::kInt, "0",
                     "with --dynamic: rebuild + hot-swap a compacted engine "
                     "after N applied updates (0 = never)"},
