@@ -64,6 +64,10 @@ template <typename Emit>
 Status TypicalCascadeComputer::SweepAllNodes(
     const TypicalCascadeOptions& options, Emit&& emit) {
   SOI_OBS_SPAN("typical/sweep_all_nodes");
+  // The workers below read closures through the unchecked CachedCascade and
+  // AppendCascade, so snapshot-backed worlds are readied first, here, in
+  // one sequential pass.
+  SOI_RETURN_IF_ERROR(index_->PrepareAllWorlds());
   const NodeId n = index_->num_nodes();
   const uint32_t l = index_->num_worlds();
   MedianOptions median_options = options.median;

@@ -133,6 +133,8 @@ void CascadeIndex::AccountCacheStats() {
 void CascadeIndex::BuildClosureCache(uint64_t budget_bytes,
                                      ClosureTierPolicy policy) {
   // Re-entrant: strip any previous cache contribution first.
+  loader_ = nullptr;
+  first_touch_ = OnceTable();
   stats_.approx_bytes -= stats_.closure_bytes + stats_.label_bytes;
   stats_.closure_bytes = 0;
   stats_.label_bytes = 0;
@@ -366,7 +368,7 @@ Result<CascadeIndex> CascadeIndex::Build(const ProbGraph& graph,
 Result<CascadeIndex> CascadeIndex::FromParts(
     NodeId num_nodes, std::vector<Condensation> worlds,
     std::vector<ReachabilityClosure> closures, std::vector<ReachLabels> labels,
-    std::vector<WorldTier> tiers) {
+    std::vector<WorldTier> tiers, ClosureLoader loader) {
   const size_t n = worlds.size();
   if (tiers.empty()) {
     // Legacy two-state contract: closures empty (all traversal) or full
@@ -434,6 +436,10 @@ Result<CascadeIndex> CascadeIndex::FromParts(
   index.tiers_ = std::move(tiers);
   if (n_mat > 0) index.closures_ = std::move(closures);
   if (n_lab > 0) index.labels_ = std::move(labels);
+  if (n_mat > 0 && loader) {
+    index.loader_ = std::move(loader);
+    index.first_touch_ = OnceTable(n);
+  }
   index.AccountCacheStats();
   return index;
 }
@@ -453,6 +459,8 @@ void CascadeIndex::SetClosure(uint32_t i, ReachabilityClosure closure) {
 }
 
 void CascadeIndex::DropClosureCache() {
+  loader_ = nullptr;
+  first_touch_ = OnceTable();
   closures_.clear();
   labels_.clear();
   tiers_.assign(worlds_.size(), WorldTier::kTraversal);
@@ -485,6 +493,13 @@ Status CascadeIndex::ValidateSeeds(std::span<const NodeId> seeds) const {
   return Status::OK();
 }
 
+Status CascadeIndex::PrepareAllWorlds() const {
+  for (uint32_t i = 0; i < num_worlds(); ++i) {
+    SOI_RETURN_IF_ERROR(PrepareWorld(i));
+  }
+  return Status::OK();
+}
+
 Status CascadeIndex::ValidateWorld(uint32_t i) const {
   if (i >= num_worlds()) {
     return Status::InvalidArgument(
@@ -500,6 +515,7 @@ void CascadeIndex::CascadeInto(std::span<const NodeId> seeds, uint32_t i,
   // Precondition (debug-checked): seeds/world validated by the caller.
   const Condensation& cond = world(i);
   if (tiers_[i] == WorldTier::kMaterialized) {
+    SOI_DCHECK(prepared(i));
     const ReachabilityClosure& cl = closures_[i];
     if (seeds.size() == 1) {
       SOI_DCHECK(seeds[0] < num_nodes_);
@@ -569,6 +585,7 @@ Result<std::vector<NodeId>> CascadeIndex::Cascade(std::span<const NodeId> seeds,
                                                   Workspace* ws) const {
   SOI_RETURN_IF_ERROR(ValidateSeeds(seeds));
   SOI_RETURN_IF_ERROR(ValidateWorld(i));
+  SOI_RETURN_IF_ERROR(PrepareWorld(i));
   std::vector<NodeId> out;
   CascadeInto(seeds, i, ws, &out);
   return out;
@@ -590,6 +607,7 @@ Result<uint64_t> CascadeIndex::CascadeSize(std::span<const NodeId> seeds,
     if (seeds.size() == 1) {
       return cl.NodeCount(cond.ComponentOf(seeds[0]));
     }
+    SOI_RETURN_IF_ERROR(PrepareWorld(i));
     ws->Prepare(cond.num_components());
     uint64_t total = 0;
     for (NodeId s : seeds) {
@@ -638,6 +656,7 @@ Result<std::vector<std::vector<NodeId>>> CascadeIndex::AllCascades(
   std::vector<std::vector<NodeId>> out;
   out.reserve(num_worlds());
   for (uint32_t i = 0; i < num_worlds(); ++i) {
+    SOI_RETURN_IF_ERROR(PrepareWorld(i));
     std::vector<NodeId> cascade;
     CascadeInto(seeds, i, ws, &cascade);
     out.push_back(std::move(cascade));
@@ -651,6 +670,10 @@ Status CascadeIndex::AllCascadesInto(std::span<const NodeId> seeds,
   arena->Clear();
   SOI_RETURN_IF_ERROR(ValidateSeeds(seeds));
   for (uint32_t i = 0; i < num_worlds(); ++i) {
+    if (const Status prepared = PrepareWorld(i); !prepared.ok()) {
+      arena->Clear();
+      return prepared;
+    }
     AppendCascade(seeds, i, ws, arena);
   }
   return Status::OK();

@@ -2,6 +2,7 @@
 #define SOI_INDEX_CASCADE_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "scc/labels.h"
 #include "scc/transitive.h"
 #include "util/flat_sets.h"
+#include "util/once_table.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -184,6 +186,13 @@ class CascadeIndex {
     std::vector<std::span<const NodeId>> views_;
   };
 
+  /// First-use hook for snapshot-backed closures (see FromParts): checks
+  /// world `world`'s stored closure runs and, for a packed layout, decodes
+  /// them into `closure` (whose offsets are already in place). An error
+  /// names the world and what is malformed.
+  using ClosureLoader =
+      std::function<Status(uint32_t world, ReachabilityClosure* closure)>;
+
   /// Samples l worlds from `graph` and builds their condensations (and the
   /// closure cache, budget permitting).
   static Result<CascadeIndex> Build(const ProbGraph& graph,
@@ -200,11 +209,16 @@ class CascadeIndex {
   /// world (all worlds materialized). With `tiers` given (one per world),
   /// `closures`/`labels` are indexed per world and must be populated — with
   /// matching component counts — exactly where the tier says so.
+  ///
+  /// With a `loader`, every materialized world starts unprepared: its
+  /// closure offsets answer size queries at once, and the loader runs once,
+  /// on the world's first PrepareWorld (see there). Without one, every world
+  /// is ready.
   static Result<CascadeIndex> FromParts(
       NodeId num_nodes, std::vector<Condensation> worlds,
       std::vector<ReachabilityClosure> closures,
       std::vector<ReachLabels> labels = {},
-      std::vector<WorldTier> tiers = {});
+      std::vector<WorldTier> tiers = {}, ClosureLoader loader = {});
 
   uint32_t num_worlds() const { return static_cast<uint32_t>(worlds_.size()); }
   NodeId num_nodes() const { return num_nodes_; }
@@ -239,12 +253,31 @@ class CascadeIndex {
   }
 
   /// The reachability closure of world i; only valid when
-  /// tier(i) == kMaterialized.
+  /// tier(i) == kMaterialized and the world is prepared (PrepareWorld).
   const ReachabilityClosure& closure(uint32_t i) const {
     SOI_DCHECK(i < closures_.size());
-    SOI_DCHECK(tiers_[i] == WorldTier::kMaterialized);
+    SOI_DCHECK(tiers_[i] == WorldTier::kMaterialized && prepared(i));
     return closures_[i];
   }
+
+  /// Readies world i for the unchecked kernels (CachedCascade,
+  /// AppendCascade, closure). A snapshot-backed materialized world has its
+  /// closure runs checked, and decoded when packed, on the first call from
+  /// any thread; concurrent first callers wait for that one pass, and every
+  /// later call returns its Status — a world that fails stays failed while
+  /// the others keep serving. Sequential: opens no parallel region. OK at
+  /// once for worlds built in memory and for the other tiers. The validated
+  /// entry points below call it themselves.
+  Status PrepareWorld(uint32_t i) const {
+    SOI_DCHECK(i < tiers_.size());
+    if (!loader_ || tiers_[i] != WorldTier::kMaterialized) {
+      return Status::OK();
+    }
+    return first_touch_.Run(i, [&] { return loader_(i, &closures_[i]); });
+  }
+
+  /// PrepareWorld for every world, in world order; the first failure.
+  Status PrepareAllWorlds() const;
 
   /// The interval labels of world i; only valid when tier(i) == kLabels.
   const ReachLabels& labels(uint32_t i) const {
@@ -254,7 +287,8 @@ class CascadeIndex {
   }
 
   /// Cascade size of component `comp` in world i, O(1); only valid when
-  /// tier(i) != kTraversal.
+  /// tier(i) != kTraversal. Reads offsets only, so it needs no
+  /// PrepareWorld.
   uint32_t ReachNodeCount(uint32_t comp, uint32_t i) const {
     SOI_DCHECK(i < tiers_.size());
     SOI_DCHECK(tiers_[i] != WorldTier::kTraversal);
@@ -321,18 +355,19 @@ class CascadeIndex {
   /// Zero-copy cascade of single source v in world i: a span into the
   /// memoized run, sorted ascending, valid for the index's lifetime.
   ///
-  /// Unchecked hot kernel: requires tier(i) == kMaterialized,
-  /// v < num_nodes() and i < num_worlds() (pre-validated by the caller;
-  /// debug-checked). Identical content to Cascade(v, i, ws).
+  /// Unchecked hot kernel: requires tier(i) == kMaterialized, a prepared
+  /// world, v < num_nodes() and i < num_worlds() (pre-validated by the
+  /// caller; debug-checked). Identical content to Cascade(v, i, ws).
   std::span<const NodeId> CachedCascade(NodeId v, uint32_t i) const {
     SOI_DCHECK(i < tiers_.size() && tiers_[i] == WorldTier::kMaterialized);
+    SOI_DCHECK(prepared(i));
     SOI_DCHECK(v < num_nodes_);
     return closures_[i].Cascade(world(i).ComponentOf(v));
   }
 
   /// Cascade of the seed set in world i, sorted ascending (includes seeds).
-  /// Validated entry point: bad seeds or world index return a Status
-  /// instead of aborting.
+  /// Validated entry point: bad seeds, world index or stored world state
+  /// return a Status instead of aborting.
   Result<std::vector<NodeId>> Cascade(std::span<const NodeId> seeds,
                                       uint32_t i, Workspace* ws) const;
   Result<std::vector<NodeId>> Cascade(NodeId v, uint32_t i,
@@ -345,8 +380,8 @@ class CascadeIndex {
   /// amortized across the arena's lifetime).
   ///
   /// Unchecked hot kernel: seeds and world index must be pre-validated
-  /// (ValidateSeeds/ValidateWorld); out-of-range input is a programming
-  /// error, debug-checked only.
+  /// (ValidateSeeds/ValidateWorld) and the world prepared (PrepareWorld);
+  /// anything else is a programming error, debug-checked only.
   void AppendCascade(std::span<const NodeId> seeds, uint32_t i, Workspace* ws,
                      CascadeArena* arena) const;
   void AppendCascade(NodeId v, uint32_t i, Workspace* ws,
@@ -356,7 +391,8 @@ class CascadeIndex {
   }
 
   /// Number of nodes in the cascade, without materializing them. O(1) for a
-  /// single seed when the closure cache is present. Validated entry point.
+  /// single seed when the closure cache is present, and then it needs no
+  /// PrepareWorld. Validated entry point.
   Result<uint64_t> CascadeSize(std::span<const NodeId> seeds, uint32_t i,
                                Workspace* ws) const;
   Result<uint64_t> CascadeSize(NodeId v, uint32_t i, Workspace* ws) const {
@@ -381,6 +417,12 @@ class CascadeIndex {
                          CascadeArena* arena) const;
 
  private:
+  // True when world i's closure runs may be read (debug checks).
+  bool prepared(uint32_t i) const {
+    return !loader_ || tiers_[i] != WorldTier::kMaterialized ||
+           first_touch_.ready(i);
+  }
+
   // Appends the cascade of `seeds` in world i to *out (sorted ascending).
   void CascadeInto(std::span<const NodeId> seeds, uint32_t i, Workspace* ws,
                    std::vector<NodeId>* out) const;
@@ -409,10 +451,16 @@ class CascadeIndex {
   std::vector<Condensation> worlds_;
   // Tier state. tiers_ always has one entry per world. closures_ is either
   // empty or one entry per world, populated exactly where
-  // tiers_[i] == kMaterialized; labels_ likewise for kLabels.
+  // tiers_[i] == kMaterialized; labels_ likewise for kLabels. closures_ is
+  // mutable for PrepareWorld alone: it fills a snapshot world's runs once,
+  // under first_touch_, and nothing reads them before that publishes.
   std::vector<WorldTier> tiers_;
-  std::vector<ReachabilityClosure> closures_;
+  mutable std::vector<ReachabilityClosure> closures_;
   std::vector<ReachLabels> labels_;
+  // Snapshot-backed worlds (FromParts with a loader): the loader and one
+  // slot per world. Empty when every world is ready.
+  ClosureLoader loader_;
+  OnceTable first_touch_;
   uint32_t num_materialized_ = 0;
   uint32_t num_labeled_ = 0;
   CascadeIndexStats stats_;

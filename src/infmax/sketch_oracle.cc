@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "util/check.h"
 
@@ -77,6 +78,7 @@ Result<SketchSpreadOracle> SketchSpreadOracle::BuildWithSalt(
       oracle.own_offsets_[table_start + c + 1] = oracle.own_entries_.size();
     }
   }
+  oracle.world_base_.push_back(oracle.own_offsets_.size());
   oracle.sketch_offsets_ = oracle.own_offsets_;
   oracle.entries_ = oracle.own_entries_;
   return oracle;
@@ -97,43 +99,84 @@ Result<SketchSpreadOracle> SketchSpreadOracle::BuildDeterministic(
 
 Result<SketchSpreadOracle> SketchSpreadOracle::FromParts(
     const CascadeIndex* index, const SketchParts& parts) {
-  if (parts.k < 3) return BadK(parts.k);
   SketchSpreadOracle oracle;
   oracle.index_ = index;
   oracle.k_ = parts.k;
   oracle.salt_ = parts.salt;
-
-  // The offsets pool must tile exactly into one (nc + 1)-entry table per
-  // world, be globally non-decreasing, cover [0, entries.size()], and bound
-  // every sketch run by k. This revalidates what the snapshot reader checks
-  // so FromParts is safe on hand-assembled parts too.
-  uint64_t expect = 0;
+  uint64_t start = 0;
   for (uint32_t i = 0; i < index->num_worlds(); ++i) {
-    oracle.world_base_.push_back(expect);
-    expect += static_cast<uint64_t>(index->world(i).num_components()) + 1;
+    oracle.world_base_.push_back(start);
+    start += static_cast<uint64_t>(index->world(i).num_components()) + 1;
   }
-  if (parts.offsets.size() != expect) {
-    return Status::InvalidArgument("sketch offsets pool has wrong extent");
-  }
-  if (!parts.offsets.empty()) {
-    if (parts.offsets.front() != 0 ||
-        parts.offsets.back() != parts.entries.size()) {
-      return Status::InvalidArgument("sketch offsets do not close the pool");
-    }
-    for (size_t i = 1; i < parts.offsets.size(); ++i) {
-      if (parts.offsets[i] < parts.offsets[i - 1]) {
-        return Status::InvalidArgument("sketch offsets not non-decreasing");
-      }
-      if (parts.offsets[i] - parts.offsets[i - 1] > parts.k) {
-        return Status::InvalidArgument("sketch run longer than k");
-      }
-    }
-  } else if (!parts.entries.empty()) {
-    return Status::InvalidArgument("sketch entries without offsets");
-  }
+  oracle.world_base_.push_back(start);
+  SOI_RETURN_IF_ERROR(CheckExtents(parts, oracle.world_base_));
   oracle.sketch_offsets_ = parts.offsets;
   oracle.entries_ = parts.entries;
+  oracle.first_touch_ = OnceTable(index->num_worlds());
   return oracle;
+}
+
+Status SketchSpreadOracle::CheckExtents(
+    const SketchParts& parts, std::span<const uint64_t> table_start) {
+  if (parts.k < 3) return BadK(parts.k);
+  if (table_start.empty() || parts.offsets.size() != table_start.back()) {
+    return Status::InvalidArgument(
+        "sketch offsets do not tile the worlds (expected " +
+        std::to_string(table_start.empty() ? 0 : table_start.back()) +
+        " entries)");
+  }
+  // Pool position where the previous world's runs ended: each world's runs
+  // start there, and the last world's close the entries pool.
+  uint64_t end = 0;
+  for (size_t i = 0; i + 1 < table_start.size(); ++i) {
+    if (table_start[i + 1] < table_start[i] + 2) {
+      return Status::InvalidArgument("sketch offsets do not tile the worlds");
+    }
+    const uint64_t first = parts.offsets[table_start[i]];
+    const uint64_t last = parts.offsets[table_start[i + 1] - 1];
+    if (first != end || last < first) {
+      return Status::InvalidArgument(
+          "world " + std::to_string(i) +
+          " sketch offsets do not tile the entries pool");
+    }
+    end = last;
+  }
+  if (end != parts.entries.size()) {
+    return Status::InvalidArgument(
+        "sketch offsets do not close the entries pool");
+  }
+  return Status::OK();
+}
+
+Status SketchSpreadOracle::CheckWorld(uint32_t i) const {
+  const auto table = sketch_offsets_.subspan(
+      world_base_[i], world_base_[i + 1] - world_base_[i]);
+  // Offsets first: once they are non-decreasing, every one lies inside the
+  // world's extent, which CheckExtents bounded by the entries pool.
+  for (size_t c = 1; c < table.size(); ++c) {
+    if (table[c] < table[c - 1] || table[c] - table[c - 1] > k_) {
+      return Status::InvalidArgument(
+          "world " + std::to_string(i) +
+          " sketch offsets are not non-decreasing runs of at most k entries");
+    }
+  }
+  for (size_t c = 1; c < table.size(); ++c) {
+    for (uint64_t j = table[c - 1] + 1; j < table[c]; ++j) {
+      if (entries_[j] <= entries_[j - 1]) {
+        return Status::InvalidArgument(
+            "world " + std::to_string(i) +
+            " sketch run is not strictly increasing");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status SketchSpreadOracle::PrepareAllWorlds() const {
+  for (uint32_t i = 0; i < index_->num_worlds(); ++i) {
+    SOI_RETURN_IF_ERROR(PrepareWorld(i));
+  }
+  return Status::OK();
 }
 
 std::span<const uint64_t> SketchSpreadOracle::Sketch(uint32_t world,
@@ -217,6 +260,7 @@ Result<double> SketchSpreadOracle::EstimateSpread(
   merged.resize(k_);
   scratch.resize(k_);
   for (uint32_t i = 0; i < num_worlds; ++i) {
+    SOI_RETURN_IF_ERROR(PrepareWorld(i));
     const Condensation& cond = index_->world(i);
     runs.clear();
     for (NodeId s : seeds) {
@@ -275,6 +319,7 @@ Result<GreedyResult> SketchSpreadOracle::SelectSeeds(uint32_t k) const {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("seed count k must be in [1, num_nodes]");
   }
+  SOI_RETURN_IF_ERROR(PrepareAllWorlds());
   const uint32_t num_worlds = index_->num_worlds();
 
   // CELF lazy greedy on the sketch tier. Committed state: per world, the

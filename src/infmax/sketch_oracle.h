@@ -8,6 +8,7 @@
 #include "index/cascade_index.h"
 #include "infmax/spread_estimator.h"
 #include "infmax/types.h"
+#include "util/once_table.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -66,9 +67,31 @@ class SketchSpreadOracle : public SpreadEstimator {
   /// Wraps pre-built sketch state without copying it (the snapshot restart
   /// path). `index` must outlive the oracle and describe the same worlds the
   /// parts were built over; the spans must outlive the oracle (the caller
-  /// anchors the backing mapping). Validates k and per-world table extents.
+  /// anchors the backing mapping). Runs CheckExtents over the index's
+  /// worlds — O(worlds) — and leaves each world's runs to PrepareWorld.
   static Result<SketchSpreadOracle> FromParts(const CascadeIndex* index,
                                               const SketchParts& parts);
+
+  /// The O(worlds) shape check every use of `parts` relies on: k >= 3, and
+  /// one table per world — world i's is offsets[table_start[i],
+  /// table_start[i + 1]), at least two entries, with table_start.back()
+  /// closing the offsets pool — whose first and last entries tile the
+  /// entries pool in world order. Entries inside a table are PrepareWorld's.
+  static Status CheckExtents(const SketchParts& parts,
+                             std::span<const uint64_t> table_start);
+
+  /// Checks world i's sketch runs on first use: its table non-decreasing,
+  /// each run at most k strictly increasing ranks. Once per world across
+  /// threads; a failure stays failed (InvalidArgument naming the world).
+  /// OK at once for oracles built in memory. EstimateSpread and
+  /// SelectSeeds call it themselves.
+  Status PrepareWorld(uint32_t i) const {
+    if (first_touch_.size() == 0) return Status::OK();
+    return first_touch_.Run(i, [&] { return CheckWorld(i); });
+  }
+
+  /// PrepareWorld for every world, in world order; the first failure.
+  Status PrepareAllWorlds() const;
 
   /// The a-priori relative error bound 1/sqrt(k - 2) of a size-k bottom-k
   /// estimator. Tests and BENCH_sketch.json calibrate measured error
@@ -95,6 +118,9 @@ class SketchSpreadOracle : public SpreadEstimator {
     return RelativeErrorBound(k_);
   }
 
+  /// Single-seed convenience for oracles whose worlds are known good (built
+  /// in memory): CHECK-fails on any error. Over snapshot parts, call the
+  /// Result overload.
   double EstimateSpread(NodeId v) const;
 
   /// CELF-style greedy seed selection on the sketch tier: marginal gains are
@@ -110,19 +136,23 @@ class SketchSpreadOracle : public SpreadEstimator {
                                                   uint32_t k, uint64_t salt);
 
   std::span<const uint64_t> Sketch(uint32_t world, uint32_t comp) const;
+  Status CheckWorld(uint32_t i) const;
   double EstimateMerged(std::span<const uint64_t> merged) const;
 
   const CascadeIndex* index_ = nullptr;
   uint32_t k_ = 0;
   uint64_t salt_ = 0;
   // Per world: offsets into entries_ per component (flattened; per-world
-  // table starts are world_base_). Views point at the owned vectors or, in
-  // FromParts mode, at externally anchored storage.
+  // table starts are world_base_, which ends with the pool size). Views
+  // point at the owned vectors or, in FromParts mode, at externally
+  // anchored storage.
   std::vector<uint64_t> world_base_;            // world -> offset table start
   std::vector<uint64_t> own_offsets_;
   std::vector<uint64_t> own_entries_;
   std::span<const uint64_t> sketch_offsets_;    // flattened comp offsets
   std::span<const uint64_t> entries_;           // sorted ranks per sketch
+  // FromParts mode: one slot per world for CheckWorld. Empty when built.
+  OnceTable first_touch_;
 };
 
 }  // namespace soi

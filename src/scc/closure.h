@@ -33,12 +33,15 @@ namespace soi {
 /// a subtraction of two offsets, and a multi-source cascade is a stamped
 /// union of closure lists followed by one run merge.
 ///
-/// Storage is dual-mode: a closure either owns its CSR arrays (the vectors
-/// below, filled by BuildReachabilityClosure) or *borrows* them from an
-/// external read-only mapping (see src/snapshot/) via Borrowed(). Queries go
-/// through the accessors, which dispatch on the mode; owned and borrowed
-/// closures answer identically. Copies and moves are safe in both modes: an
-/// owned copy never reads the view spans, and a borrowed copy shares the
+/// Storage is per array pair: the offsets and the runs are each either
+/// owned (the vectors below, filled by BuildReachabilityClosure) or
+/// *borrowed* from an external read-only mapping (see src/snapshot/).
+/// Borrowed() borrows all four arrays; BorrowedOffsets() borrows the two
+/// offset arrays and leaves the runs to be decoded into the owned vectors
+/// (the packed snapshot layout, whose runs are not stored as plain ids).
+/// Queries go through the accessors, which dispatch on the mode; every mode
+/// answers identically. Copies and moves are safe in all modes: an owned
+/// array is never read through a view span, and a borrowed one shares the
 /// external memory (whose lifetime the snapshot mapping owns).
 struct ReachabilityClosure {
   /// comps[comp_offsets[c], comp_offsets[c+1]) is the closure of component
@@ -60,16 +63,28 @@ struct ReachabilityClosure {
                                       std::span<const uint32_t> comps,
                                       std::span<const uint64_t> node_offsets,
                                       std::span<const NodeId> nodes) {
-    ReachabilityClosure out;
-    out.borrowed_ = true;
-    out.b_comp_offsets_ = comp_offsets;
+    ReachabilityClosure out = BorrowedOffsets(comp_offsets, node_offsets);
+    out.borrowed_runs_ = true;
     out.b_comps_ = comps;
-    out.b_node_offsets_ = node_offsets;
     out.b_nodes_ = nodes;
     return out;
   }
 
-  bool borrowed() const { return borrowed_; }
+  /// Borrows only the offset arrays; the runs are the owned `comps` and
+  /// `nodes`, empty until the caller fills them (sized to the offsets'
+  /// totals). Size queries (NodeCount, ApproxBytes) answer at once, since
+  /// they read only offsets; Closure and Cascade need the runs. Filling the
+  /// runs writes neither the offsets nor the mode, so size queries may run
+  /// concurrently with it.
+  static ReachabilityClosure BorrowedOffsets(
+      std::span<const uint64_t> comp_offsets,
+      std::span<const uint64_t> node_offsets) {
+    ReachabilityClosure out;
+    out.borrowed_offsets_ = true;
+    out.b_comp_offsets_ = comp_offsets;
+    out.b_node_offsets_ = node_offsets;
+    return out;
+  }
 
   uint32_t num_components() const {
     const auto co = comp_offsets_view();
@@ -102,31 +117,35 @@ struct ReachabilityClosure {
 
   /// Heap footprint of the CSR arrays (the quantity the index's
   /// closure-cache memory budget meters). For a borrowed closure this is the
-  /// mapped footprint — the same bytes, just owned by the page cache.
+  /// mapped footprint — the same bytes, just owned by the page cache. Read
+  /// off the offsets alone, so runs not yet decoded count at full size.
   uint64_t ApproxBytes() const {
-    return 8ull * comp_offsets_view().size() + 4ull * comps_view().size() +
-           8ull * node_offsets_view().size() + 4ull * nodes_view().size();
+    const auto co = comp_offsets_view();
+    const auto no = node_offsets_view();
+    return 8ull * co.size() + 4ull * (co.empty() ? 0 : co.back()) +
+           8ull * no.size() + 4ull * (no.empty() ? 0 : no.back());
   }
 
   /// The four CSR arrays as spans, mode-independent (what the snapshot
   /// writer serializes).
   std::span<const uint64_t> comp_offsets_view() const {
-    return borrowed_ ? b_comp_offsets_
-                     : std::span<const uint64_t>(comp_offsets);
+    return borrowed_offsets_ ? b_comp_offsets_
+                             : std::span<const uint64_t>(comp_offsets);
   }
   std::span<const uint32_t> comps_view() const {
-    return borrowed_ ? b_comps_ : std::span<const uint32_t>(comps);
+    return borrowed_runs_ ? b_comps_ : std::span<const uint32_t>(comps);
   }
   std::span<const uint64_t> node_offsets_view() const {
-    return borrowed_ ? b_node_offsets_
-                     : std::span<const uint64_t>(node_offsets);
+    return borrowed_offsets_ ? b_node_offsets_
+                             : std::span<const uint64_t>(node_offsets);
   }
   std::span<const NodeId> nodes_view() const {
-    return borrowed_ ? b_nodes_ : std::span<const NodeId>(nodes);
+    return borrowed_runs_ ? b_nodes_ : std::span<const NodeId>(nodes);
   }
 
  private:
-  bool borrowed_ = false;
+  bool borrowed_offsets_ = false;
+  bool borrowed_runs_ = false;
   std::span<const uint64_t> b_comp_offsets_;
   std::span<const uint32_t> b_comps_;
   std::span<const uint64_t> b_node_offsets_;

@@ -77,6 +77,13 @@ class Engine::Impl {
     return options_.clock_ns != nullptr ? options_.clock_ns() : obs::NowNs();
   }
 
+  Status PrepareAllWorlds() {
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    SOI_RETURN_IF_ERROR(idx().PrepareAllWorlds());
+    std::lock_guard<std::mutex> sketch_lock(sketch_mutex_);
+    return sketch_ != nullptr ? sketch_->PrepareAllWorlds() : Status::OK();
+  }
+
   Status AdoptSketches(const SketchParts& parts) {
     SOI_ASSIGN_OR_RETURN(SketchSpreadOracle oracle,
                          SketchSpreadOracle::FromParts(&index_, parts));
@@ -682,6 +689,7 @@ const ProbGraph& Engine::graph() const { return impl_->graph(); }
 const CascadeIndex& Engine::index() const { return impl_->index(); }
 const EngineOptions& Engine::options() const { return impl_->options(); }
 uint32_t Engine::in_flight() const { return impl_->in_flight(); }
+Status Engine::PrepareAllWorlds() const { return impl_->PrepareAllWorlds(); }
 bool Engine::dynamic() const { return impl_->dynamic(); }
 uint64_t Engine::drift() const { return impl_->drift(); }
 uint64_t Engine::fingerprint() const { return impl_->fingerprint(); }

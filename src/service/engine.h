@@ -333,6 +333,14 @@ class Engine {
   /// Currently admitted Run/RunBatch calls (admission-control observability).
   uint32_t in_flight() const;
 
+  /// Runs every first-use check now: a snapshot-backed engine's per-world
+  /// closure and sketch runs (CascadeIndex::PrepareWorld,
+  /// SketchSpreadOracle::PrepareWorld), sequentially. The first failure,
+  /// naming its world; OK at once for engines built in memory. A hot reload
+  /// runs it before swapping a file in, so a malformed world is refused
+  /// instead of served.
+  Status PrepareAllWorlds() const;
+
   // -- Dynamic-mode observability & drift-rebuild hooks -------------------
   /// True for CreateDynamic engines.
   bool dynamic() const;

@@ -138,8 +138,9 @@ enum class SectionKind : uint32_t {
   // is frozen), except the packed byte pools 20/21 whose per-world bases
   // reuse the WorldRecord closure base fields as *byte* bases. No
   // per-component byte offsets are stored: runs are self-delimiting given
-  // their element counts (pools 13/15), and packed closures are decoded
-  // sequentially at load, never randomly accessed.
+  // their element counts (pools 13/15), and a world's packed closure is
+  // decoded sequentially, whole, by its first use (one checked pass; see
+  // reader.h kStructural), never randomly accessed.
   kTierTable = 19,           // u32[w], WorldTier values (0/1/2)
   kClosureCompsPacked = 20,  // u8 pool: delta-varint closure runs,
                              //   back-to-back in component order

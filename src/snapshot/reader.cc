@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "snapshot/crc32c.h"
 #include "util/packed_runs.h"
 
@@ -130,7 +131,11 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Open(
   std::shared_ptr<Snapshot> snap(new Snapshot());
   snap->map_ = map;
   snap->map_size_ = size;
+  snap->path_ = path;
   SOI_RETURN_IF_ERROR(snap->Validate(path, validation));
+  if (validation == SnapshotValidation::kFull) {
+    SOI_RETURN_IF_ERROR(snap->CheckAllWorlds());
+  }
   return std::shared_ptr<const Snapshot>(std::move(snap));
 }
 
@@ -502,19 +507,11 @@ Status Snapshot::Validate(const std::string& path,
           return Invalid(path, "world " + std::to_string(i) +
                                    " has invalid closure offsets");
         }
-        if (!AllBelow(comps.subspan(rec.closure_comps_base, comps_len),
-                      nc) ||
-            !AllBelow(nodes.subspan(rec.closure_nodes_base, nodes_len), n)) {
-          return Invalid(path, "world " + std::to_string(i) +
-                                   " closure stores an out-of-range id");
-        }
       } else {
         // Packed closures: the runs sit back-to-back in component order
         // (no per-run byte offsets stored — the element counts from the
-        // offset pools delimit them). Walk and decode-validate every run,
-        // proving each varint well-formed, each id in range, and the byte
-        // extent filled exactly — after this, load-time cursors can trust
-        // the bytes unconditionally.
+        // offset pools delimit them). Their bytes are checked by the one
+        // decode pass on the world's first use (LoadClosureRuns).
         const auto comps_bytes =
             View<uint8_t>(SectionKind::kClosureCompsPacked);
         const auto nodes_bytes =
@@ -529,28 +526,6 @@ Status Snapshot::Validate(const std::string& path,
         if (!IsLocalCsr(cco, cco.back()) || !IsLocalCsr(cno, cno.back())) {
           return Invalid(path, "world " + std::to_string(i) +
                                    " has invalid packed closure offsets");
-        }
-        uint64_t c_pos = 0, n_pos = 0;
-        for (uint64_t c = 0; c < nc; ++c) {
-          uint64_t used_c = 0, used_n = 0;
-          if (!ValidatePackedRunPrefix(
-                  comps_bytes.subspan(rec.closure_comps_base + c_pos,
-                                      comps_len - c_pos),
-                  cco[c + 1] - cco[c], nc, &used_c) ||
-              !ValidatePackedRunPrefix(
-                  nodes_bytes.subspan(rec.closure_nodes_base + n_pos,
-                                      nodes_len - n_pos),
-                  cno[c + 1] - cno[c], n, &used_n)) {
-            return Invalid(path, "world " + std::to_string(i) +
-                                     " has a malformed packed closure run");
-          }
-          c_pos += used_c;
-          n_pos += used_n;
-        }
-        if (c_pos != comps_len || n_pos != nodes_len) {
-          return Invalid(path, "world " + std::to_string(i) +
-                                   " packed closure runs do not fill their "
-                                   "extent");
         }
       }
       if (tiered) c_off_base += nc + 1;
@@ -662,13 +637,10 @@ Status Snapshot::Validate(const std::string& path,
   }
   uint32_t sketch_k = 0;
   if (with_sketches) {
-    // The sketch offsets pool tiles identically to kMembersOffsets (one
-    // nc + 1 table per world, sharing WorldRecord::offsets_base), so the
-    // world scan above already proved the per-world bases; what's left is
-    // the pool's own shape: meta sane, tables globally non-decreasing and
-    // closing the entries pool, each run at most k strictly increasing
-    // ranks (adjacent table positions delimit the runs; pairs that span a
-    // world boundary are zero-length by construction).
+    // The sketch offsets pool holds one nc + 1 table per world sharing
+    // WorldRecord::offsets_base, which the world scan above proved. Here:
+    // meta sane and every world's extent tiling the entries pool; each
+    // world's runs are checked on first use (SketchSpreadOracle).
     if (Find(SectionKind::kSketchMeta)->elem_count != 2) {
       return Invalid(path, "sketch metadata must be exactly {k, salt}");
     }
@@ -679,27 +651,14 @@ Status Snapshot::Validate(const std::string& path,
                                "error bound is undefined below that)");
     }
     sketch_k = static_cast<uint32_t>(meta[0]);
-    if (Find(SectionKind::kSketchOffsets)->elem_count != pooled_offsets) {
-      return Invalid(path, "sketch offsets do not tile the worlds (expected " +
-                               std::to_string(pooled_offsets) + " entries)");
-    }
-    const auto s_off = View<uint64_t>(SectionKind::kSketchOffsets);
-    const auto s_ent = View<uint64_t>(SectionKind::kSketchEntries);
-    if (s_off.empty() || s_off.front() != 0 ||
-        s_off.back() != s_ent.size()) {
-      return Invalid(path, "sketch offsets do not close the entries pool");
-    }
-    for (size_t i = 1; i < s_off.size(); ++i) {
-      if (s_off[i] < s_off[i - 1] || s_off[i] - s_off[i - 1] > sketch_k) {
-        return Invalid(path, "sketch offsets are not non-decreasing runs of "
-                             "at most k entries");
-      }
-      for (uint64_t j = s_off[i - 1] + 1; j < s_off[i]; ++j) {
-        if (s_ent[j] <= s_ent[j - 1]) {
-          return Invalid(path, "sketch run is not strictly increasing");
-        }
-      }
-    }
+    std::vector<uint64_t> table_start(w + 1);
+    for (uint64_t i = 0; i <= w; ++i) table_start[i] = wt[i].offsets_base;
+    SketchParts parts;
+    parts.k = sketch_k;
+    parts.offsets = View<uint64_t>(SectionKind::kSketchOffsets);
+    parts.entries = View<uint64_t>(SectionKind::kSketchEntries);
+    const Status extents = SketchSpreadOracle::CheckExtents(parts, table_start);
+    if (!extents.ok()) return Invalid(path, extents.message());
   }
 
   info_.version = header_.version;
@@ -786,40 +745,22 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
                            .subspan(co_base, nc + 1);
       const auto cno = View<uint64_t>(SectionKind::kClosureNodeOffsets)
                            .subspan(co_base, nc + 1);
-      ReachabilityClosure cl;
-      if (!packed) {
-        cl = ReachabilityClosure::Borrowed(
-            cco,
-            View<uint32_t>(SectionKind::kClosureComps)
-                .subspan(rec.closure_comps_base,
-                         next.closure_comps_base - rec.closure_comps_base),
-            cno,
-            View<uint32_t>(SectionKind::kClosureNodes)
-                .subspan(rec.closure_nodes_base,
-                         next.closure_nodes_base - rec.closure_nodes_base));
-      } else {
-        // Decode the varint runs into an owned closure — one linear pass
-        // over the packed bytes, validated up front by Open(). Runs are
-        // back-to-back; each cursor's end position starts the next run.
-        const auto comps_bytes =
-            View<uint8_t>(SectionKind::kClosureCompsPacked);
-        const auto nodes_bytes =
-            View<uint8_t>(SectionKind::kClosureNodesPacked);
-        cl.comp_offsets.assign(cco.begin(), cco.end());
-        cl.node_offsets.assign(cno.begin(), cno.end());
-        cl.comps.reserve(cco.back());
-        cl.nodes.reserve(cno.back());
-        const uint8_t* c_pos = comps_bytes.data() + rec.closure_comps_base;
-        const uint8_t* n_pos = nodes_bytes.data() + rec.closure_nodes_base;
-        for (uint64_t c = 0; c < nc; ++c) {
-          PackedRunCursor comps_run(c_pos, cco[c + 1] - cco[c]);
-          comps_run.AppendTo(&cl.comps);
-          c_pos = comps_run.pos();
-          PackedRunCursor nodes_run(n_pos, cno[c + 1] - cno[c]);
-          nodes_run.AppendTo(&cl.nodes);
-          n_pos = nodes_run.pos();
-        }
-      }
+      // Raw runs are borrowed as stored; packed runs are decoded into the
+      // closure on first use. Either way LoadClosureRuns checks them then.
+      ReachabilityClosure cl =
+          packed
+              ? ReachabilityClosure::BorrowedOffsets(cco, cno)
+              : ReachabilityClosure::Borrowed(
+                    cco,
+                    View<uint32_t>(SectionKind::kClosureComps)
+                        .subspan(rec.closure_comps_base,
+                                 next.closure_comps_base -
+                                     rec.closure_comps_base),
+                    cno,
+                    View<uint32_t>(SectionKind::kClosureNodes)
+                        .subspan(rec.closure_nodes_base,
+                                 next.closure_nodes_base -
+                                     rec.closure_nodes_base));
       if (tiered) {
         closures[i] = std::move(cl);
         c_off_base += nc + 1;
@@ -841,9 +782,71 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
       lab_rn_base += nc;
     }
   }
-  return CascadeIndex::FromParts(header_.num_nodes, std::move(worlds),
-                                 std::move(closures), std::move(labels),
-                                 std::move(tiers));
+  return CascadeIndex::FromParts(
+      header_.num_nodes, std::move(worlds), std::move(closures),
+      std::move(labels), std::move(tiers),
+      [this](uint32_t i, ReachabilityClosure* closure) {
+        return LoadClosureRuns(i, closure);
+      });
+}
+
+Status Snapshot::LoadClosureRuns(uint32_t i,
+                                 ReachabilityClosure* closure) const {
+  const uint64_t n = header_.num_nodes;
+  const uint32_t nc = closure->num_components();
+  const auto wt = View<WorldRecord>(SectionKind::kWorldTable);
+  const WorldRecord& rec = wt[i];
+  const WorldRecord& next = wt[i + 1];
+  const std::string world = "world " + std::to_string(i);
+  if ((header_.flags & kSnapFlagPackedClosures) == 0) {
+    if (!AllBelow(closure->comps_view(), nc) ||
+        !AllBelow(closure->nodes_view(), n)) {
+      return Invalid(path_, world + " closure stores an out-of-range id");
+    }
+    return Status::OK();
+  }
+  const auto comps_bytes =
+      View<uint8_t>(SectionKind::kClosureCompsPacked)
+          .subspan(rec.closure_comps_base,
+                   next.closure_comps_base - rec.closure_comps_base);
+  const auto nodes_bytes =
+      View<uint8_t>(SectionKind::kClosureNodesPacked)
+          .subspan(rec.closure_nodes_base,
+                   next.closure_nodes_base - rec.closure_nodes_base);
+  const auto co = closure->comp_offsets_view();
+  const auto no = closure->node_offsets_view();
+  // Every id takes at least one byte, so counts past the byte extents are
+  // malformed; checking first bounds the allocation by the file.
+  uint64_t used_c = 0, used_n = 0;
+  bool ok = co.back() <= comps_bytes.size() && no.back() <= nodes_bytes.size();
+  if (ok) {
+    closure->comps.resize(co.back());
+    closure->nodes.resize(no.back());
+    ok = DecodePackedRuns(comps_bytes, co, nc, closure->comps.data(),
+                          &used_c) &&
+         DecodePackedRuns(nodes_bytes, no, n, closure->nodes.data(), &used_n);
+  }
+  if (!ok || used_c != comps_bytes.size() || used_n != nodes_bytes.size()) {
+    closure->comps = {};
+    closure->nodes = {};
+    return Invalid(path_, world + (ok ? " packed closure runs do not fill "
+                                        "their extent"
+                                      : " has a malformed packed closure "
+                                        "run"));
+  }
+  SOI_OBS_COUNTER_ADD("snapshot/worlds_decoded", 1);
+  return Status::OK();
+}
+
+Status Snapshot::CheckAllWorlds() const {
+  SOI_ASSIGN_OR_RETURN(CascadeIndex index, MakeIndex());
+  SOI_RETURN_IF_ERROR(index.PrepareAllWorlds());
+  if (!info_.has_sketches) return Status::OK();
+  SOI_ASSIGN_OR_RETURN(SketchSpreadOracle sketches,
+                       SketchSpreadOracle::FromParts(&index,
+                                                     MakeSketchParts()));
+  const Status checked = sketches.PrepareAllWorlds();
+  return checked.ok() ? checked : Invalid(path_, checked.message());
 }
 
 FlatSets Snapshot::MakeTypical() const {

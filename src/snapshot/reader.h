@@ -17,16 +17,23 @@ namespace soi {
 
 /// How much of the file Open() checks before handing out views.
 enum class SnapshotValidation {
-  /// Header + section table CRC, layout and length consistency, offset-array
-  /// monotonicity, and full range scans of every stored id (comp_of, DAG and
-  /// member targets, closure entries, typical elements). Linear,
-  /// memory-bandwidth cheap — orders of magnitude less than a closure
-  /// rebuild — and sufficient to guarantee no query ever reads out of
-  /// bounds. The serving default.
+  /// The checks every query needs, and no more: header + section-table CRC,
+  /// flags, layout and length consistency, the tier table and world-table
+  /// extents, the graph CSR and the typical table, each world's
+  /// condensation (offsets and id ranges: every module reads ComponentOf),
+  /// the closure offset pools, the label pools, and the sketch pool's
+  /// per-world extents. What stays is per world and checked on the world's
+  /// first use: its closure runs (one checked decode when packed, an id
+  /// range scan when raw; CascadeIndex::PrepareWorld) and its sketch runs
+  /// (SketchSpreadOracle::PrepareWorld). A world that fails then answers
+  /// InvalidArgument to every query that needs it, and the others keep
+  /// serving. So Open is cheap — about the condensation id scans — and no
+  /// query ever reads out of bounds. The serving default.
   kStructural,
   /// kStructural plus per-section CRC-32C payload verification (detects
-  /// silent bit rot, not just torn/truncated writes). What `snapshot
-  /// verify` runs.
+  /// silent bit rot, not just torn/truncated writes), plus every world's
+  /// first-use checks up front — the same checks, run once each. What
+  /// `snapshot verify` runs.
   kFull,
 };
 
@@ -69,10 +76,13 @@ struct SnapshotInfo {
 /// shared handle; Make*() assemble zero-copy borrowed views into the
 /// mapping — loading is pointer fixup, the reachability cache is *read*,
 /// never rebuilt, and the mapping is physically shared with every other
-/// process serving the same file (page cache, PROT_READ). The one
-/// exception: delta-varint packed closures (kSnapFlagPackedClosures) are
-/// decoded into owned arrays at MakeIndex() time — a single linear pass
-/// over the packed bytes; labels and packed typical tables stay zero-copy.
+/// process serving the same file (page cache, PROT_READ). Open and Make*
+/// cost O(worlds) bookkeeping plus the condensation scans; the per-world
+/// closure and sketch runs are checked on first use (see kStructural). The
+/// one copy: a delta-varint packed world (kSnapFlagPackedClosures) has its
+/// runs decoded into owned arrays by that first-use pass, once per world,
+/// while its offsets stay borrowed; labels and packed typical tables stay
+/// zero-copy.
 ///
 /// Lifetime: every borrowed view is valid only while the Snapshot lives.
 /// service::Engine keeps the handle alive via its opaque storage anchor
@@ -95,7 +105,10 @@ class Snapshot {
 
   /// The cascade index as borrowed condensations (+ borrowed closures when
   /// the snapshot carries them) — O(num_worlds) bookkeeping, no sampling,
-  /// no SCC runs, no closure sweep.
+  /// no SCC runs, no closure sweep. Materialized worlds start unprepared:
+  /// size queries answer from the closure offsets at once, and a world's
+  /// runs are checked (and decoded) on its first CascadeIndex::PrepareWorld.
+  /// The index calls back into this Snapshot, which must outlive it.
   Result<CascadeIndex> MakeIndex() const;
 
   /// The typical-cascade table, if present (info().has_typical).
@@ -110,6 +123,11 @@ class Snapshot {
   Snapshot() = default;
 
   Status Validate(const std::string& path, SnapshotValidation validation);
+  // World i's first-use closure check (MakeIndex's loader): a raw world's
+  // id range scan, or a packed world's one checked decode into `closure`.
+  Status LoadClosureRuns(uint32_t i, ReachabilityClosure* closure) const;
+  // Every world's first-use checks, closures then sketches (Open(kFull)).
+  Status CheckAllWorlds() const;
 
   const SectionEntry* Find(SectionKind kind) const;
   template <typename T>
@@ -117,6 +135,7 @@ class Snapshot {
 
   void* map_ = nullptr;
   uint64_t map_size_ = 0;
+  std::string path_;  // names the file in first-use errors
   SnapshotHeader header_{};
   // Section directory indexed by kind; unknown kinds in the file are
   // skipped (forward-compatible: new optional sections don't break old

@@ -66,6 +66,10 @@ Status EmitSnapshot(const ProbGraph& graph, const CascadeIndex& index,
         std::to_string(options.sketches->num_nodes()) +
         " nodes but graph has " + std::to_string(n));
   }
+  // A snapshot-backed index or sketch tier is written from checked runs
+  // only (a no-op for state built in memory).
+  SOI_RETURN_IF_ERROR(index.PrepareAllWorlds());
+  if (with_sketches) SOI_RETURN_IF_ERROR(options.sketches->PrepareAllWorlds());
 
   // Tier census. Uniform all-materialized / all-traversal indexes can use
   // the v1.0 layout (no tier table); anything else — mixed tiers, labels,

@@ -74,11 +74,6 @@ class PackedRunCursor {
     while (!Done()) out->push_back(Next());
   }
 
-  /// Read head after the bytes consumed so far. Runs are self-delimiting
-  /// given their element counts, so back-to-back runs (the packed closure
-  /// pools) decode with one cursor per run chained through pos().
-  const uint8_t* pos() const { return pos_; }
-
  private:
   const uint8_t* pos_ = nullptr;
   uint64_t remaining_ = 0;
@@ -195,13 +190,17 @@ class PackedRuns {
 bool ValidatePackedRun(std::span<const uint8_t> bytes, uint64_t elem_count,
                        uint64_t id_bound);
 
-/// ValidatePackedRun for a run embedded at the head of a larger pool: the
-/// run need not consume `bytes` exactly; on success *consumed is the run's
-/// encoded length. Back-to-back runs (no per-run byte offsets stored)
-/// validate by chaining prefixes.
-bool ValidatePackedRunPrefix(std::span<const uint8_t> bytes,
-                             uint64_t elem_count, uint64_t id_bound,
-                             uint64_t* consumed);
+/// Checked decode of back-to-back runs (the packed closure pools; no
+/// per-run byte offsets are stored): run r holds offsets[r + 1] -
+/// offsets[r] values and decodes to out[offsets[r], offsets[r + 1]). Checks
+/// what ValidatePackedRun checks, run by run, in the same pass that
+/// decodes, except that the runs need not consume `bytes` exactly: on
+/// success *consumed is the encoded length of all runs. `offsets` must be
+/// non-decreasing from 0 and `out` must hold offsets.back() values
+/// (caller-checked). On failure `out` holds a partial decode.
+bool DecodePackedRuns(std::span<const uint8_t> bytes,
+                      std::span<const uint64_t> offsets, uint64_t id_bound,
+                      uint32_t* out, uint64_t* consumed);
 
 }  // namespace soi
 

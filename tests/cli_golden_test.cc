@@ -23,14 +23,27 @@
 //   soi_cli serve $F --sketch-k 16 --stdin < serve_v2.requests.jsonl > v2.raw
 //   sed -E "$E" v2.raw > serve_v2.stdout.golden && rm v2.raw
 
+#include <poll.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "snapshot/format.h"
+#include "util/check.h"
+
+extern char** environ;
 
 namespace soi {
 namespace {
@@ -243,20 +256,34 @@ TEST(CliGoldenTest, ClosureBudgetZeroReproducesGoldens) {
       << "infmax tc diverged with the closure cache disabled";
 }
 
+// Writes `snapshot create` output for the golden configuration to a temp
+// file and returns `--snapshot '<path>'`; `extra` adds create flags.
+std::string SnapshotSource(const std::string& name, const std::string& extra) {
+  const std::string path = testing::TempDir() + name;
+  const CliRun run = RunCli("snapshot create " + GraphFlags() +
+                            " --threads 1 " + extra + " --out '" + path + "'");
+  EXPECT_EQ(run.exit_code, 0) << run.stdout_text;
+  return "--snapshot '" + path + "'";
+}
+
 TEST(CliGoldenTest, ServeStdinMatchesGoldenAcrossThreads) {
   // The request fixture mixes every op with malformed and invalid lines;
   // the golden asserts the whole protocol contract at once: responses in
   // request order, errors as status lines (the process must not abort),
   // and ids salvaged from broken JSON.
-  // A --dynamic engine builds the same index, so it answers identically.
+  // A --dynamic engine builds the same index, so it answers identically,
+  // and so does a server mapping a snapshot of it — at 8 threads its cold
+  // worlds are first touched by concurrent requests.
   const std::string golden = ReadFileOrDie(GoldenPath("serve.stdout.golden"));
-  for (const char* extra : {"--threads 1", "--threads 8",
-                            "--threads 1 --dynamic"}) {
-    const CliRun run = RunCli("serve " + GraphFlags() + " --stdin " + extra +
-                              " < '" + GoldenPath("serve.requests.jsonl") +
-                              "'");
+  const std::string snapshot = SnapshotSource("cli_golden_serve.soisnap", "");
+  for (const std::string& source :
+       {GraphFlags() + " --threads 1", GraphFlags() + " --threads 8",
+        GraphFlags() + " --threads 1 --dynamic", snapshot + " --threads 1",
+        snapshot + " --threads 8"}) {
+    const CliRun run = RunCli("serve " + source + " --stdin < '" +
+                              GoldenPath("serve.requests.jsonl") + "'");
     ASSERT_EQ(run.exit_code, 0);
-    EXPECT_EQ(run.stdout_text, golden) << "serve diverged with " << extra;
+    EXPECT_EQ(run.stdout_text, golden) << "serve diverged with " << source;
   }
 }
 
@@ -273,15 +300,179 @@ TEST(CliGoldenTest, ServeV2StdinMatchesGoldenAcrossThreads) {
   // once elapsed_us is normalized.
   const std::string golden =
       ReadFileOrDie(GoldenPath("serve_v2.stdout.golden"));
-  for (const char* extra : {"--threads 1", "--threads 8",
-                            "--threads 1 --dynamic"}) {
-    const CliRun run = RunCli("serve " + GraphFlags() + " --sketch-k 16 " +
-                              "--stdin " + extra + " < '" +
+  const std::string built = GraphFlags() + " --sketch-k 16";
+  const std::string snapshot =
+      SnapshotSource("cli_golden_serve_v2.soisnap", "--sketch-k 16");
+  for (const std::string& source :
+       {built + " --threads 1", built + " --threads 8",
+        built + " --threads 1 --dynamic", snapshot + " --threads 1",
+        snapshot + " --threads 8"}) {
+    const CliRun run = RunCli("serve " + source + " --stdin < '" +
                               GoldenPath("serve_v2.requests.jsonl") + "'");
     ASSERT_EQ(run.exit_code, 0);
     EXPECT_EQ(NormalizeElapsed(run.stdout_text), golden)
-        << "serve v2 diverged with " << extra;
+        << "serve v2 diverged with " << source;
   }
+}
+
+// A `soi_cli serve --stdin` child with its standard streams piped to the
+// test, so it can be signalled between requests.
+class ServeProcess {
+ public:
+  explicit ServeProcess(const std::vector<std::string>& args) {
+    ::signal(SIGPIPE, SIG_IGN);  // a dead child must fail the test, not kill it
+    int in[2], out[2], err[2];
+    SOI_CHECK(::pipe(in) == 0 && ::pipe(out) == 0 && ::pipe(err) == 0);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_adddup2(&actions, in[0], 0);
+    posix_spawn_file_actions_adddup2(&actions, out[1], 1);
+    posix_spawn_file_actions_adddup2(&actions, err[1], 2);
+    for (const int fd : {in[0], in[1], out[0], out[1], err[0], err[1]}) {
+      posix_spawn_file_actions_addclose(&actions, fd);
+    }
+    std::vector<std::string> argv_text = {SOI_CLI_PATH};
+    argv_text.insert(argv_text.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& a : argv_text) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    SOI_CHECK(posix_spawn(&pid_, SOI_CLI_PATH, &actions, nullptr, argv.data(),
+                          environ) == 0);
+    posix_spawn_file_actions_destroy(&actions);
+    ::close(in[0]);
+    ::close(out[1]);
+    ::close(err[1]);
+    in_ = in[1];
+    out_ = out[0];
+    err_ = err[0];
+  }
+
+  ~ServeProcess() {
+    if (pid_ > 0) Finish();
+  }
+
+  // Sends one request line; returns its response line ("" on timeout).
+  std::string Ask(const std::string& line) {
+    const std::string text = line + "\n";
+    if (::write(in_, text.data(), text.size()) !=
+        static_cast<ssize_t>(text.size())) {
+      return "";
+    }
+    return ReadLine(out_, &out_buf_, [](const std::string&) { return true; });
+  }
+
+  // Reads stderr lines until one contains `needle` and returns it; "" on
+  // timeout or EOF.
+  std::string AwaitStderr(const std::string& needle) {
+    return ReadLine(err_, &err_buf_, [&](const std::string& l) {
+      return l.find(needle) != std::string::npos;
+    });
+  }
+
+  void Signal(int sig) { ::kill(pid_, sig); }
+
+  // Closes the child's stdin and returns its exit code.
+  int Finish() {
+    ::close(in_);
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+    ::close(out_);
+    ::close(err_);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+ private:
+  template <typename Accept>
+  static std::string ReadLine(int fd, std::string* buf, Accept accept) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (size_t nl; (nl = buf->find('\n')) != std::string::npos;) {
+        std::string line = buf->substr(0, nl);
+        buf->erase(0, nl + 1);
+        if (accept(line)) return line + "\n";
+      }
+      struct pollfd pfd {fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 1000) <= 0) continue;
+      char chunk[4096];
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) return "";
+      buf->append(chunk, static_cast<size_t>(n));
+    }
+    return "";
+  }
+
+  pid_t pid_ = -1;
+  int in_ = -1, out_ = -1, err_ = -1;
+  std::string out_buf_, err_buf_;
+};
+
+// A SIGHUP reload runs every world's first-use checks before it swaps: a
+// file with one malformed packed closure run is refused and the old engine
+// keeps answering as before; a sound file is then swapped in.
+TEST(CliGoldenTest, SighupReloadRefusesMalformedWorldBeforeSwap) {
+  const std::string path = testing::TempDir() + "cli_golden_reload.soisnap";
+  ASSERT_EQ(RunCli("snapshot create " + GraphFlags() +
+                   " --threads 1 --out '" + path + "'").exit_code,
+            0);
+  const std::string good = ReadFileOrDie(path);
+  // 0xFF-fill the head of the packed closure pool: world 0's first run.
+  std::string bad = good;
+  soi::SnapshotHeader header{};
+  std::memcpy(&header, bad.data(), sizeof(header));
+  uint64_t pool = 0;
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    soi::SectionEntry e{};
+    std::memcpy(&e, bad.data() + sizeof(header) + i * sizeof(e), sizeof(e));
+    if (e.kind == static_cast<uint32_t>(
+                      soi::SectionKind::kClosureCompsPacked)) {
+      pool = e.offset;
+    }
+  }
+  ASSERT_NE(pool, 0u) << "snapshot create wrote no packed closures";
+  for (uint64_t i = 0; i < 5; ++i) bad[pool + i] = static_cast<char>(0xFF);
+  // Replaced by rename, as WriteSnapshot does: the serving mapping keeps
+  // the old file.
+  const auto replace = [&](const std::string& bytes) {
+    std::ofstream(path + ".tmp", std::ios::binary | std::ios::trunc) << bytes;
+    ASSERT_EQ(std::rename((path + ".tmp").c_str(), path.c_str()), 0);
+  };
+
+  ServeProcess serve({"serve", "--snapshot", path, "--threads", "1",
+                      "--stdin"});
+  const std::string cascade =
+      R"({"id": 1, "op": "cascade", "seeds": [5], "world": 0})";
+  const std::string reliability =
+      R"({"id": 2, "op": "reliability", "seeds": [3], "threshold": 0.4})";
+  const std::string cascade_answer = serve.Ask(cascade);
+  const std::string reliability_answer = serve.Ask(reliability);
+  ASSERT_NE(cascade_answer.find("\"status\":\"ok\""), std::string::npos)
+      << cascade_answer;
+  ASSERT_NE(reliability_answer.find("\"status\":\"ok\""),
+            std::string::npos)
+      << reliability_answer;
+
+  // The loop runs its poll hook, which does the reload, before it
+  // dispatches the next request, so each first answer below comes after
+  // the reload attempt whenever the signal woke the loop.
+  replace(bad);
+  serve.Signal(SIGHUP);
+  EXPECT_EQ(serve.Ask(cascade), cascade_answer);
+  const std::string refused =
+      serve.AwaitStderr("reload failed, keeping old engine");
+  EXPECT_NE(refused.find("world 0 has a malformed packed closure run"),
+            std::string::npos)
+      << "stderr line: " << refused;
+  EXPECT_EQ(serve.Ask(reliability), reliability_answer);
+
+  replace(good);
+  serve.Signal(SIGHUP);
+  EXPECT_EQ(serve.Ask(cascade), cascade_answer);
+  EXPECT_NE(serve.AwaitStderr("snapshot reloaded"), "");
+  EXPECT_EQ(serve.Ask(reliability), reliability_answer);
+  EXPECT_EQ(serve.Finish(), 0);
+  std::remove(path.c_str());
 }
 
 // Pulls "key": <number> out of the metrics JSON (flat, known-schema file;

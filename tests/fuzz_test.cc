@@ -3,8 +3,10 @@
 // systematically mutated valid payloads.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
 #include "infmax/sketch_oracle.h"
+#include "snapshot/format.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "util/rng.h"
@@ -46,8 +49,9 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 }
 
 // Answers a fixed probe set from an open snapshot, touching every section:
-// the graph's arcs, each node's cascade and cascade size in every world,
-// the typical table and the sketch tier. Errors are transcribed too.
+// the graph's arcs, each node's cascade and cascade size in every world
+// (lines "world <w> node <v>:"), the typical table and the sketch tier
+// (lines "sketch <v>:"). Errors are transcribed too.
 std::string ProbeSnapshot(const Snapshot& snap) {
   std::ostringstream out;
   out << std::setprecision(17);
@@ -83,10 +87,101 @@ std::string ProbeSnapshot(const Snapshot& snap) {
                                                   snap.MakeSketchParts());
     if (!sketches.ok()) return out.str() + sketches.status().ToString();
     for (NodeId v = 0; v < index->num_nodes(); ++v) {
-      out << "\nsketch " << v << ':' << sketches->EstimateSpread(v);
+      const NodeId seed[1] = {v};
+      const auto spread = sketches->EstimateSpread(seed);
+      out << "\nsketch " << v << ':';
+      if (spread.ok()) {
+        out << *spread;
+      } else {
+        out << spread.status().ToString();
+      }
     }
   }
   return out.str();
+}
+
+// Where a byte of a snapshot lies when it is inside one world's packed
+// closure runs or sketch runs: the state checked on that world's first use.
+struct WorldDamage {
+  uint32_t world = 0;
+  bool sketch = false;  // sketch runs (kinds 28/29), else closure runs
+};
+
+template <typename T>
+T ReadAt(const std::string& bytes, uint64_t offset) {
+  T value{};
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
+std::optional<WorldDamage> DamagedWorld(const std::string& bytes,
+                                        uint64_t pos) {
+  const auto header = ReadAt<SnapshotHeader>(bytes, 0);
+  std::optional<SectionEntry> sections[32];
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    const auto e = ReadAt<SectionEntry>(
+        bytes, sizeof(SnapshotHeader) + i * sizeof(SectionEntry));
+    if (e.kind < 32) sections[e.kind] = e;
+  }
+  const auto section = [&](SectionKind kind) -> std::optional<SectionEntry> {
+    return sections[static_cast<uint32_t>(kind)];
+  };
+  const auto inside = [&](const std::optional<SectionEntry>& e) {
+    return e.has_value() && pos >= e->offset && pos < e->offset + e->byte_size;
+  };
+  const auto world_table = section(SectionKind::kWorldTable);
+  const auto record = [&](uint32_t w) {
+    return ReadAt<WorldRecord>(bytes,
+                               world_table->offset + w * sizeof(WorldRecord));
+  };
+  const uint32_t worlds = header.num_worlds;
+  // The world whose [begin(w), begin(w + 1)) holds element `at`.
+  const auto owner = [&](uint64_t at, auto begin) -> std::optional<uint32_t> {
+    for (uint32_t w = 0; w < worlds; ++w) {
+      if (at >= begin(w) && at < begin(w + 1)) return w;
+    }
+    return std::nullopt;
+  };
+  std::optional<uint32_t> world;
+  bool sketch = false;
+  if (const auto e = section(SectionKind::kClosureCompsPacked); inside(e)) {
+    world = owner(pos - e->offset,
+                  [&](uint32_t w) { return record(w).closure_comps_base; });
+  } else if (const auto e = section(SectionKind::kClosureNodesPacked);
+             inside(e)) {
+    world = owner(pos - e->offset,
+                  [&](uint32_t w) { return record(w).closure_nodes_base; });
+  } else if (const auto e = section(SectionKind::kSketchOffsets); inside(e)) {
+    sketch = true;
+    world = owner((pos - e->offset) / sizeof(uint64_t),
+                  [&](uint32_t w) { return record(w).offsets_base; });
+  } else if (const auto e = section(SectionKind::kSketchEntries); inside(e)) {
+    sketch = true;
+    const auto offsets = section(SectionKind::kSketchOffsets);
+    // World w's runs start at its table's first entry.
+    world = owner((pos - e->offset) / sizeof(uint64_t), [&](uint32_t w) {
+      return ReadAt<uint64_t>(
+          bytes, offsets->offset + record(w).offsets_base * sizeof(uint64_t));
+    });
+  }
+  if (!world.has_value()) return std::nullopt;
+  return WorldDamage{*world, sketch};
+}
+
+// The probe lines that do not read the damaged state: all but the damaged
+// world's lines for closure damage, all but the sketch lines (each one
+// averages every world) for sketch damage.
+std::string LinesOutside(const std::string& probe, const WorldDamage& damage) {
+  const std::string skip = damage.sketch
+                               ? "sketch "
+                               : "world " + std::to_string(damage.world) +
+                                     " node ";
+  std::istringstream in(probe);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(skip, 0) != 0) out += line + '\n';
+  }
+  return out;
 }
 
 class FuzzSweep : public ::testing::TestWithParam<int> {};
@@ -141,7 +236,10 @@ TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
   // alignment padding between sections carries no CRC and must leave every
   // answer as the pristine file gives it. Whatever structural validation
   // accepts must answer every probe without crashing or reading out of
-  // bounds. Each mapping is released before the file is rewritten.
+  // bounds; a flip inside one world's packed closure runs or sketch runs is
+  // checked on that world's first use, so every probe that reads none of
+  // the damaged state must answer as the pristine file does. Each mapping
+  // is released before the file is rewritten.
   Rng mutate_rng(3000 + GetParam());
   for (int trial = 0; trial < 400; ++trial) {
     std::string mutated = *bytes;
@@ -155,7 +253,14 @@ TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
           << "flip at byte " << pos << " passed the CRCs but changed answers";
     }
     if (auto structural = Snapshot::Open(path); structural.ok()) {
-      ProbeSnapshot(**structural);
+      const std::string probe = ProbeSnapshot(**structural);
+      if (const auto damage = DamagedWorld(*bytes, pos)) {
+        EXPECT_EQ(LinesOutside(probe, *damage),
+                  LinesOutside(pristine, *damage))
+            << "flip at byte " << pos << " inside world " << damage->world
+            << (damage->sketch ? "'s sketch runs" : "'s closure runs")
+            << " changed another world's answers";
+      }
     }
   }
   std::remove(path.c_str());

@@ -234,14 +234,29 @@ TEST(SketchOracleTest, FromPartsRejectsCorruptTables) {
   short_entries.entries = truncated;
   EXPECT_FALSE(SketchSpreadOracle::FromParts(&index, short_entries).ok());
 
-  // Non-monotone offsets.
+  // Non-monotone offsets inside world 0's table. FromParts checks only the
+  // per-world extents, so the oracle is built; world 0 fails on first use,
+  // keeps failing, and the other worlds check clean.
+  ASSERT_GT(index.world(0).num_components(), 2u);
   std::vector<uint64_t> swapped(good.offsets.begin(), good.offsets.end());
-  if (swapped.size() >= 3) {
-    std::swap(swapped[1], swapped[2]);
-    swapped[1] = swapped[2] + good.k + 1;  // also violates run <= k
-    SketchParts bad_offsets = good;
-    bad_offsets.offsets = swapped;
-    EXPECT_FALSE(SketchSpreadOracle::FromParts(&index, bad_offsets).ok());
+  std::swap(swapped[1], swapped[2]);
+  swapped[1] = swapped[2] + good.k + 1;  // also violates run <= k
+  SketchParts bad_offsets = good;
+  bad_offsets.offsets = swapped;
+  const auto lazy = SketchSpreadOracle::FromParts(&index, bad_offsets);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  const NodeId seed[1] = {0};
+  const auto first = lazy->EstimateSpread(seed);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(first.status().ToString().find("world 0 sketch offsets"),
+            std::string::npos)
+      << first.status().ToString();
+  const auto second = lazy->SelectSeeds(1);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  for (uint32_t w = 1; w < index.num_worlds(); ++w) {
+    EXPECT_TRUE(lazy->PrepareWorld(w).ok()) << "world " << w;
   }
 }
 

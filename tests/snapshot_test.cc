@@ -7,11 +7,13 @@
 // UBSan, and TSan CI jobs.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
 #include "infmax/sketch_oracle.h"
+#include "obs/metrics.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
 #include "service/protocol.h"
@@ -107,6 +110,108 @@ SectionEntry FindSection(const std::string& bytes, SectionKind kind) {
   return SectionEntry{};
 }
 
+// Every node's cascade in world w plus a two-seed cascade size, errors
+// transcribed: what "world w answers" means when comparing two files.
+std::string WorldAnswers(const CascadeIndex& index, uint32_t w) {
+  CascadeIndex::Workspace ws;
+  std::string out;
+  for (NodeId v = 0; v < index.num_nodes(); ++v) {
+    const auto cascade = index.Cascade(v, w, &ws);
+    out += cascade.ok() ? std::to_string(cascade->size())
+                        : cascade.status().ToString();
+    for (const NodeId u : cascade.ok() ? *cascade : std::vector<NodeId>{}) {
+      out += ' ' + std::to_string(u);
+    }
+    const NodeId pair[2] = {v, (v + 1) % index.num_nodes()};
+    const auto size = index.CascadeSize(pair, w, &ws);
+    out += size.ok() ? ';' + std::to_string(*size) + '\n'
+                     : ';' + size.status().ToString() + '\n';
+  }
+  return out;
+}
+
+// Recomputes every section checksum and then the header checksum, so that
+// only the structural and first-use checks can refuse the bytes.
+std::string Resealed(std::string bytes) {
+  SnapshotHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    char* row = bytes.data() + sizeof(header) + i * sizeof(SectionEntry);
+    SectionEntry e{};
+    std::memcpy(&e, row, sizeof(e));
+    e.crc32c = Crc32c(bytes.data() + e.offset, e.byte_size);
+    std::memcpy(row, &e, sizeof(e));
+  }
+  const uint32_t zero = 0;
+  std::memcpy(bytes.data() + offsetof(SnapshotHeader, header_crc32c), &zero,
+              sizeof(zero));
+  const uint32_t crc = Crc32c(
+      bytes.data(),
+      sizeof(SnapshotHeader) + header.section_count * sizeof(SectionEntry));
+  std::memcpy(bytes.data() + offsetof(SnapshotHeader, header_crc32c), &crc,
+              sizeof(crc));
+  return bytes;
+}
+
+// Opens `bytes` written to a temp file named after `name`.
+std::shared_ptr<const Snapshot> OpenBytes(const std::string& bytes,
+                                          const std::string& name) {
+  const std::string path = TempPath(name);
+  WriteBytes(path, bytes);
+  auto snap = Snapshot::Open(path);
+  SOI_CHECK(snap.ok());
+  return *snap;
+}
+
+void ExpectNames(const Status& status, const std::string& needle,
+                 uint32_t world) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.ToString().find(needle), std::string::npos)
+      << "message was: " << status.ToString();
+  EXPECT_NE(status.ToString().find("world " + std::to_string(world)),
+            std::string::npos)
+      << "message was: " << status.ToString();
+}
+
+// Damage inside one world's closure runs, which Open(kStructural) leaves to
+// the world's first use: Open(kFull) refuses the file naming `needle` even
+// with every checksum resealed; a structural open serves it; the first
+// query touching `damaged` returns InvalidArgument naming the world and
+// `needle`, and a second query the same error; every other world answers
+// exactly as the pristine file.
+void ExpectClosureRejectedOnFirstUse(const std::string& pristine,
+                                     const std::string& bad, uint32_t damaged,
+                                     const std::string& needle) {
+  const std::string path = TempPath("first-use.soisnap");
+  WriteBytes(path, Resealed(bad));
+  const auto full = Snapshot::Open(path, SnapshotValidation::kFull);
+  ASSERT_FALSE(full.ok()) << "kFull admitted damage to world " << damaged;
+  ExpectNames(full.status(), needle, damaged);
+
+  const auto snap = OpenBytes(bad, "first-use-structural.soisnap");
+  auto index = snap->MakeIndex();
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  CascadeIndex::Workspace ws;
+  const auto first = index->Cascade(NodeId{0}, damaged, &ws);
+  ASSERT_FALSE(first.ok());
+  ExpectNames(first.status(), needle, damaged);
+  const NodeId seeds[2] = {1, 2};
+  const auto second = index->CascadeSize(seeds, damaged, &ws);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  EXPECT_FALSE(index->PrepareAllWorlds().ok());
+
+  const auto clean = OpenBytes(pristine, "first-use-pristine.soisnap");
+  auto clean_index = clean->MakeIndex();
+  ASSERT_TRUE(clean_index.ok());
+  for (uint32_t w = 0; w < index->num_worlds(); ++w) {
+    if (w == damaged) continue;
+    EXPECT_EQ(WorldAnswers(*index, w), WorldAnswers(*clean_index, w))
+        << "world " << w << " changed with damage confined to world "
+        << damaged;
+  }
+}
+
 TEST(Crc32cTest, MatchesKnownVectors) {
   // The canonical CRC-32C check value (RFC 3720 appendix B.4).
   const char digits[] = "123456789";
@@ -156,6 +261,8 @@ TEST(SnapshotRoundTrip, GraphIndexAndClosuresSurvive) {
   ASSERT_TRUE(borrowed.ok()) << borrowed.status().ToString();
   ASSERT_EQ(borrowed->num_worlds(), index.num_worlds());
   ASSERT_TRUE(borrowed->has_closure_cache());
+  // closure(w) is an unchecked accessor: the worlds are readied first.
+  ASSERT_TRUE(borrowed->PrepareAllWorlds().ok());
   for (uint32_t w = 0; w < index.num_worlds(); ++w) {
     const Condensation& a = index.world(w);
     const Condensation& b = borrowed->world(w);
@@ -410,6 +517,23 @@ TEST_F(SnapshotCorruptionTest, OutOfRangeIdsAreCaughtStructurally) {
   ExpectOpenFails(bad, "out of node range");
 }
 
+TEST_F(SnapshotCorruptionTest, OutOfRangeRawClosureIdIsRejectedOnFirstUse) {
+  // A raw (--no-pack) world keeps its runs zero-copy; their id-range scan
+  // runs on the world's first use. The first node id of the pool belongs
+  // to world 0.
+  SnapshotWriteOptions raw;
+  raw.pack = false;
+  auto raw_bytes = SerializeSnapshot(graph_, index_, raw);
+  ASSERT_TRUE(raw_bytes.ok());
+  const SectionEntry nodes =
+      FindSection(*raw_bytes, SectionKind::kClosureNodes);
+  std::string bad = *raw_bytes;
+  const uint32_t huge = 0x7FFFFFFFu;
+  std::memcpy(bad.data() + nodes.offset, &huge, sizeof(huge));
+  ExpectClosureRejectedOnFirstUse(*raw_bytes, bad, 0,
+                                  "closure stores an out-of-range id");
+}
+
 TEST_F(SnapshotCorruptionTest, MissingFileIsAnIOErrorNotACrash) {
   auto snap = Snapshot::Open(TempPath("does-not-exist.soisnap"));
   ASSERT_FALSE(snap.ok());
@@ -541,6 +665,7 @@ TEST(SnapshotPackedTest, PackedFileIsSmallerAndAnswersIdentically) {
     auto loaded = (*snap)->MakeIndex();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_TRUE(loaded->has_closure_cache());
+    ASSERT_TRUE(loaded->PrepareAllWorlds().ok());
     for (uint32_t w = 0; w < index.num_worlds(); ++w) {
       const ReachabilityClosure& ca = index.closure(w);
       const ReachabilityClosure& cb = loaded->closure(w);
@@ -738,14 +863,35 @@ TEST_F(SnapshotTieredCorruptionTest, UnknownTierValueIsRejected) {
 
 TEST_F(SnapshotTieredCorruptionTest, MalformedPackedClosureRunIsRejected) {
   // 0xFF-fill the head of the packed pool: either the varint decodes past
-  // uint32 range or the cursor overruns its slice — both are malformed.
+  // uint32 range or the cursor overruns its slice — both are malformed. The
+  // head belongs to the first materialized world, whose runs are checked
+  // on its first use.
   const SectionEntry pool =
       FindSection(bytes_, SectionKind::kClosureCompsPacked);
   std::string bad = bytes_;
   for (uint64_t i = 0; i < 5 && i < pool.byte_size; ++i) {
     bad[pool.offset + i] = static_cast<char>(0xFF);
   }
-  ExpectOpenFails(bad, "packed closure run");
+  uint32_t damaged = 0;
+  while (index_.tier(damaged) != WorldTier::kMaterialized) ++damaged;
+  ExpectClosureRejectedOnFirstUse(bytes_, bad, damaged, "packed closure run");
+}
+
+TEST_F(SnapshotTieredCorruptionTest, OverlongPackedClosureCountIsRejected) {
+  // A closure element count past its world's byte extent cannot decode
+  // (every id takes at least one byte). The offsets stay non-decreasing,
+  // so Open admits them and the world's first use refuses it before
+  // allocating for the count.
+  uint32_t damaged = 0;
+  while (index_.tier(damaged) != WorldTier::kMaterialized) ++damaged;
+  const SectionEntry offsets =
+      FindSection(bytes_, SectionKind::kClosureNodeOffsets);
+  const uint64_t last = index_.world(damaged).num_components();
+  std::string bad = bytes_;
+  const uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(bad.data() + offsets.offset + last * sizeof(uint64_t), &huge,
+              sizeof(huge));
+  ExpectClosureRejectedOnFirstUse(bytes_, bad, damaged, "packed closure run");
 }
 
 TEST_F(SnapshotTieredCorruptionTest, MalformedLabelIntervalIsRejected) {
@@ -935,6 +1081,56 @@ class SnapshotSketchCorruptionTest : public ::testing::Test {
         << "message was: " << snap.status().ToString();
   }
 
+  // The world whose sketch table holds offsets-pool entry `entry`.
+  uint32_t WorldOfOffset(uint64_t entry) const {
+    uint64_t start = 0;
+    for (uint32_t w = 0; w < index_.num_worlds(); ++w) {
+      start += index_.world(w).num_components() + uint64_t{1};
+      if (entry < start) return w;
+    }
+    SOI_CHECK(false);
+    return 0;
+  }
+
+  // Damage inside world `damaged`'s sketch runs, which Open(kStructural)
+  // leaves to the world's first use: Open(kFull) refuses the file naming
+  // the sketch tier even with every checksum resealed; a structural open
+  // serves it; the first sketch query
+  // returns InvalidArgument naming the world, and a second query the same
+  // error; every other world checks clean and answers exact queries as the
+  // pristine file.
+  void ExpectRejectedOnFirstUse(const std::string& bad, uint32_t damaged) {
+    const std::string path = TempPath("sketch-first-use.soisnap");
+    WriteBytes(path, Resealed(bad));
+    const auto full = Snapshot::Open(path, SnapshotValidation::kFull);
+    ASSERT_FALSE(full.ok()) << "kFull admitted damage to world " << damaged;
+    ExpectNames(full.status(), "sketch", damaged);
+
+    const auto snap = OpenBytes(bad, "sketch-structural.soisnap");
+    auto index = snap->MakeIndex();
+    ASSERT_TRUE(index.ok());
+    auto oracle = SketchSpreadOracle::FromParts(&*index,
+                                                snap->MakeSketchParts());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    const NodeId seed[1] = {0};
+    const auto first = oracle->EstimateSpread(seed);
+    ASSERT_FALSE(first.ok());
+    ExpectNames(first.status(), "sketch", damaged);
+    const auto second = oracle->SelectSeeds(2);
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().ToString(), first.status().ToString());
+
+    const auto clean = OpenBytes(bytes_, "sketch-pristine.soisnap");
+    auto clean_index = clean->MakeIndex();
+    ASSERT_TRUE(clean_index.ok());
+    for (uint32_t w = 0; w < index->num_worlds(); ++w) {
+      if (w == damaged) continue;
+      EXPECT_TRUE(oracle->PrepareWorld(w).ok()) << "world " << w;
+      EXPECT_EQ(WorldAnswers(*index, w), WorldAnswers(*clean_index, w))
+          << "world " << w;
+    }
+  }
+
   ProbGraph graph_;
   CascadeIndex index_;
   std::string bytes_;
@@ -962,7 +1158,23 @@ TEST_F(SnapshotSketchCorruptionTest, NonMonotoneSketchOffsetsAreRejected) {
   const uint64_t huge = ~uint64_t{0} / 2;
   std::memcpy(bad.data() + offsets.offset + sizeof(uint64_t), &huge,
               sizeof(huge));
-  ExpectOpenFails(bad, "sketch");
+  // Entry 1 is inside world 0's table (world 0 has several components);
+  // its runs are checked on the world's first use.
+  ASSERT_GT(index_.world(0).num_components(), 1u);
+  ExpectRejectedOnFirstUse(bad, 0);
+}
+
+TEST_F(SnapshotSketchCorruptionTest, SketchExtentsAreCheckedAtOpen) {
+  // A world's last table entry is the next world's first: moving it breaks
+  // the tiling of the entries pool, which Open checks for every world.
+  const SectionEntry offsets =
+      FindSection(bytes_, SectionKind::kSketchOffsets);
+  const uint64_t last = index_.world(0).num_components();
+  std::string bad = bytes_;
+  const uint64_t huge = ~uint64_t{0} / 2;
+  std::memcpy(bad.data() + offsets.offset + last * sizeof(uint64_t), &huge,
+              sizeof(huge));
+  ExpectOpenFails(bad, "sketch offsets do not tile the entries pool");
 }
 
 TEST_F(SnapshotSketchCorruptionTest, UnsortedSketchEntriesAreRejected) {
@@ -976,6 +1188,7 @@ TEST_F(SnapshotSketchCorruptionTest, UnsortedSketchEntriesAreRejected) {
   const uint64_t count = offsets.byte_size / sizeof(uint64_t);
   const char* base = bytes_.data() + offsets.offset;
   uint64_t target = ~uint64_t{0};
+  uint64_t run_end = 0;  // offsets entry closing the damaged run
   for (uint64_t i = 1; i < count; ++i) {
     uint64_t lo = 0;
     uint64_t hi = 0;
@@ -983,6 +1196,7 @@ TEST_F(SnapshotSketchCorruptionTest, UnsortedSketchEntriesAreRejected) {
     std::memcpy(&hi, base + i * sizeof(uint64_t), sizeof(hi));
     if (hi - lo >= 2) {
       target = lo + 1;
+      run_end = i;
       break;
     }
   }
@@ -991,7 +1205,73 @@ TEST_F(SnapshotSketchCorruptionTest, UnsortedSketchEntriesAreRejected) {
   const uint64_t zero = 0;
   std::memcpy(bad.data() + entries.offset + target * sizeof(uint64_t), &zero,
               sizeof(zero));
-  ExpectOpenFails(bad, "sketch");
+  ExpectRejectedOnFirstUse(bad, WorldOfOffset(run_end));
+}
+
+uint64_t WorldsDecoded() {
+  const obs::Counter* c =
+      obs::Registry::Get().FindCounter("snapshot/worlds_decoded");
+  return c == nullptr ? 0 : c->Get();
+}
+
+TEST(SnapshotFirstUseTest, ConcurrentFirstTouchDecodesEachWorldOnce) {
+  // Eight threads start together on the same cold, packed worlds: through
+  // single cascades, multi-seed sizes, AllCascades and the sketch tier.
+  // Every thread gets the owned index's answers, and each world is decoded
+  // exactly once (this suite runs under TSan in CI).
+  const ProbGraph graph = RandomGraph(80, 400, 61);
+  const CascadeIndex owned =
+      BuildIndex(graph, PropagationModel::kIndependentCascade);
+  ASSERT_TRUE(owned.has_closure_cache());
+  auto built = SketchSpreadOracle::BuildDeterministic(owned, 8, 1);
+  ASSERT_TRUE(built.ok());
+  const auto snap = OpenBytes(SnapshotBytesWithSketches(graph, owned, *built),
+                              "first-touch.soisnap");
+  auto cold = snap->MakeIndex();
+  ASSERT_TRUE(cold.ok());
+  auto sketches =
+      SketchSpreadOracle::FromParts(&*cold, snap->MakeSketchParts());
+  ASSERT_TRUE(sketches.ok());
+
+  obs::SetEnabled(true);
+  const uint64_t decoded_before = WorldsDecoded();
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::string> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      std::string& out = answers[t];
+      CascadeIndex::Workspace ws;
+      const NodeId pair[2] = {3, 17};
+      auto all = cold->AllCascades(pair, &ws);
+      out += all.ok() ? std::to_string(all->size()) : all.status().ToString();
+      for (uint32_t w = 0; w < cold->num_worlds(); ++w) {
+        out += WorldAnswers(*cold, w);
+      }
+      const auto spread = sketches->EstimateSpread(pair);
+      out += spread.ok() ? std::to_string(*spread)
+                         : spread.status().ToString();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::string expected =
+      std::to_string(owned.num_worlds());
+  for (uint32_t w = 0; w < owned.num_worlds(); ++w) {
+    expected += WorldAnswers(owned, w);
+  }
+  const NodeId pair[2] = {3, 17};
+  expected += std::to_string(*built->EstimateSpread(pair));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(answers[t], expected) << "thread " << t;
+  }
+  EXPECT_EQ(WorldsDecoded() - decoded_before, cold->num_worlds());
+  // Published once: later touches decode nothing.
+  ASSERT_TRUE(cold->PrepareAllWorlds().ok());
+  EXPECT_EQ(WorldsDecoded() - decoded_before, cold->num_worlds());
 }
 
 TEST(SnapshotWriterTest, SketchesOverDifferentIndexAreRejected) {

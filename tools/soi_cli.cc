@@ -1032,6 +1032,10 @@ int CmdServe(const FlagParser& flags) {
     struct sigaction previous {};
     ::sigaction(SIGHUP, &action, &previous);
 
+    // A reload runs every world's first-use checks before the swap (the
+    // startup path leaves them to each world's first query), so a file
+    // with one malformed world is refused and the old engine keeps
+    // answering.
     serve_options.poll = [&handle, &snapshot_path, &options]() {
       if (!g_reload_requested) return;
       g_reload_requested = 0;
@@ -1039,6 +1043,11 @@ int CmdServe(const FlagParser& flags) {
       Result<service::Engine> next =
           reopened.ok() ? EngineFromSnapshot(std::move(*reopened), options)
                         : Result<service::Engine>(reopened.status());
+      if (next.ok()) {
+        if (Status checked = next->PrepareAllWorlds(); !checked.ok()) {
+          next = checked;
+        }
+      }
       if (!next.ok()) {
         // Keep serving the old engine; a bad file on disk must not take
         // down a healthy server.
