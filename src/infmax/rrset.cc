@@ -100,8 +100,7 @@ double LogChoose(double n, double k) {
 }  // namespace
 
 Result<RrCollection> RrCollection::Sample(const ProbGraph& graph,
-                                          uint32_t count, Rng* rng,
-                                          bool pack_sets) {
+                                          uint32_t count, Rng* rng) {
   if (graph.num_nodes() == 0) return Status::InvalidArgument("empty graph");
   if (count == 0) return Status::InvalidArgument("count must be >= 1");
 
@@ -143,14 +142,6 @@ Result<RrCollection> RrCollection::Sample(const ProbGraph& graph,
 
   // Inverted index (counting sort by node).
   collection.inv_ = collection.sets_.Transpose(graph.num_nodes());
-  if (pack_sets) {
-    // Both arenas hold strictly ascending runs (sets are sorted node ids,
-    // the transpose emits set ids in ascending order), so both pack. The
-    // greedy/estimate loops consume via ForEach and are encoding-blind.
-    collection.sets_ = FlatSets::Pack(collection.sets_);
-    collection.inv_ = FlatSets::Pack(collection.inv_);
-    SOI_OBS_COUNTER_ADD("rrset/packed_bytes", collection.ApproxBytes());
-  }
   return collection;
 }
 
@@ -226,7 +217,7 @@ Result<GreedyResult> InfMaxRr(const ProbGraph& graph,
 
   SOI_ASSIGN_OR_RETURN(
       const RrCollection collection,
-      RrCollection::Sample(graph, theta, rng, options.pack_sets));
+      RrCollection::Sample(graph, theta, rng));
   return collection.SelectSeeds(k);
 }
 

@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -16,6 +18,7 @@
 
 #include "obs/metrics.h"
 #include "service/protocol.h"
+#include "service/server.h"
 
 namespace soi::service {
 
@@ -39,7 +42,33 @@ Status ErrnoStatus(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
 
+// The process's wake eventfd (-1 until a loop with a poll hook starts).
+// Every such loop holds it in its epoll set edge-triggered and never reads
+// it, so each WakeServeLoops write wakes every loop once.
+std::atomic<int> g_wake_fd{-1};
+
+int WakeFd() {
+  int fd = g_wake_fd.load(std::memory_order_acquire);
+  if (fd >= 0) return fd;
+  const int created = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (created < 0) return -1;
+  if (g_wake_fd.compare_exchange_strong(fd, created,
+                                        std::memory_order_acq_rel)) {
+    return created;
+  }
+  ::close(created);  // another loop published one first; `fd` holds it
+  return fd;
+}
+
 }  // namespace
+
+void WakeServeLoops() {
+  const int fd = g_wake_fd.load(std::memory_order_acquire);
+  if (fd < 0) return;
+  const uint64_t one = 1;
+  // Cannot fail short of 2^64 - 2 unread wakeups.
+  [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
+}
 
 class EventLoop::Impl {
  public:
@@ -101,6 +130,21 @@ class EventLoop::Impl {
   Status InitEpoll() {
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epfd_ < 0) return ErrnoStatus("epoll_create1 failed");
+    // With a poll hook, WakeServeLoops (a SIGHUP handler) wakes the wait
+    // even when the signal lands while the loop is busy, or on another
+    // thread.
+    if (options_.poll != nullptr && *options_.poll) {
+      const int wake_fd = WakeFd();
+      struct epoll_event ev {};
+      ev.events = EPOLLIN | EPOLLET;
+      ev.data.ptr = &g_wake_fd;
+      if (wake_fd < 0 ||
+          ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd, &ev) != 0) {
+        const Status status = ErrnoStatus("cannot watch the wake eventfd");
+        CloseEpoll();
+        return status;
+      }
+    }
     return Status::OK();
   }
 
@@ -563,6 +607,7 @@ class EventLoop::Impl {
       HandleListener();
       return;
     }
+    if (p == &g_wake_fd) return;  // the wakeup's Poll() already ran
     const uintptr_t raw = reinterpret_cast<uintptr_t>(p);
     Conn* c = reinterpret_cast<Conn*>(raw & ~kOutTag);
     if (c->dead || c->done) return;

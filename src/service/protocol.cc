@@ -1,10 +1,12 @@
 #include "service/protocol.h"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <optional>
+#include <cstdlib>
+#include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,47 +15,211 @@ namespace soi::service {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for the flat request schema above (no
-// external dependency). Numbers are doubles; request ids and node ids are
-// integers well inside the double-exact range.
+// Request scanner. One forward pass checks the whole line as JSON — the
+// leftmost error wins, with the messages below — and notes where the first
+// occurrence of each key the schema knows lies. Values stay views into the
+// line, so a scan copies and allocates nothing; the schema pass reads them.
 // ---------------------------------------------------------------------------
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
+// Deepest container nesting a line may use. The schema needs three levels
+// (request object, "ops" array, update object); the cap bounds the scan's
+// recursion, and so its stack, whatever the line holds.
+constexpr int kMaxDepth = 64;
 
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
+// One JSON value of a scanned line.
+struct JsonToken {
+  enum class Kind : uint8_t {
+    kAbsent,  // a key the object does not carry
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject,
+  };
+  Kind kind = Kind::kAbsent;
+  bool boolean = false;  // kBool
+  bool escaped = false;  // kString: `text` holds a backslash escape
+  // kNumber: the token; kString: the body between the quotes, undecoded;
+  // kArray and kObject: the whole value, brackets included.
+  std::string_view text;
 };
+using Kind = JsonToken::Kind;
 
-class JsonReader {
+// The keys one object's scan captures: fields[i] receives the value of the
+// first member whose decoded key is keys[i]; other members are checked and
+// skipped.
+using KeyNames = std::span<const std::string_view>;
+
+// Longer than every key and every string value the schema matches on.
+constexpr size_t kMaxNameBytes = 16;
+
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
+int HexDigit(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
+// The decimal grammar strtod accepts, which a number token must match
+// whole: -?(D+(.D*)?|.D+)([eE][+-]?D+)?
+bool IsDecimal(std::string_view t) {
+  size_t i = 0;
+  const auto digits = [&] {
+    const size_t begin = i;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+    return i - begin;
+  };
+  if (i < t.size() && t[i] == '-') ++i;
+  size_t mantissa = digits();
+  if (i < t.size() && t[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    if (digits() == 0) return false;
+  }
+  return i == t.size();
+}
+
+// Decodes the body of a string the scan accepted into out[0, cap) and
+// returns its length, or cap + 1 once it does not fit. A \u escape becomes
+// its UTF-8 encoding (basic multilingual plane only; protocol strings are
+// ASCII identifiers).
+size_t Unescape(std::string_view body, char* out, size_t cap) {
+  size_t n = 0;
+  for (size_t i = 0; i < body.size();) {
+    char bytes[3] = {body[i++], 0, 0};
+    size_t len = 1;
+    if (bytes[0] == '\\') {
+      const char esc = body[i++];
+      switch (esc) {
+        case 'b': bytes[0] = '\b'; break;
+        case 'f': bytes[0] = '\f'; break;
+        case 'n': bytes[0] = '\n'; break;
+        case 'r': bytes[0] = '\r'; break;
+        case 't': bytes[0] = '\t'; break;
+        case 'u': {
+          uint32_t code = 0;
+          for (int k = 0; k < 4; ++k) {
+            code = code << 4 | static_cast<uint32_t>(HexDigit(body[i++]));
+          }
+          if (code < 0x80) {
+            bytes[0] = static_cast<char>(code);
+          } else if (code < 0x800) {
+            bytes[0] = static_cast<char>(0xC0 | (code >> 6));
+            bytes[1] = static_cast<char>(0x80 | (code & 0x3F));
+            len = 2;
+          } else {
+            bytes[0] = static_cast<char>(0xE0 | (code >> 12));
+            bytes[1] = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            bytes[2] = static_cast<char>(0x80 | (code & 0x3F));
+            len = 3;
+          }
+          break;
+        }
+        default: bytes[0] = esc;  // '"', '\\' or '/'
+      }
+    }
+    if (n + len > cap) return cap + 1;
+    std::memcpy(out + n, bytes, len);
+    n += len;
+  }
+  return n;
+}
+
+// A string's decoded text for matching against the names the schema knows:
+// the body itself when it holds no escape, else decoded into `buf` — empty
+// when it outgrows `buf`, which no known name does.
+std::string_view NameOf(const JsonToken& s, char (&buf)[kMaxNameBytes]) {
+  if (!s.escaped) return s.text;
+  const size_t n = Unescape(s.text, buf, sizeof(buf));
+  return n <= sizeof(buf) ? std::string_view(buf, n) : std::string_view();
+}
+
+// A string's decoded text, for a value copied into a request (reusing
+// `*out`'s storage) or into an error message.
+void AssignDecoded(const JsonToken& s, std::string* out) {
+  if (!s.escaped) {
+    out->assign(s.text);
+    return;
+  }
+  out->resize(s.text.size());  // decoding never lengthens
+  out->resize(Unescape(s.text, out->data(), out->size()));
+}
+
+std::string Decoded(const JsonToken& s) {
+  std::string out;
+  AssignDecoded(s, &out);
+  return out;
+}
+
+// The index of `name` in `keys`, or keys.size().
+size_t KeySlot(std::string_view name, KeyNames keys) {
+  size_t slot = 0;
+  while (slot < keys.size() &&
+         !(keys[slot].size() == name.size() && keys[slot][0] == name[0] &&
+           keys[slot] == name)) {
+    ++slot;
+  }
+  return slot;
+}
+
+class JsonScanner {
  public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
+  explicit JsonScanner(std::string_view text) : text_(text) {}
 
-  Result<JsonValue> Parse() {
-    SOI_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
+  // Scans the whole text as one value with nothing but space after it. When
+  // the value is an object, `fields` receives its members named in `keys`.
+  bool Document(JsonToken* value, KeyNames keys, JsonToken* fields) {
+    if (!Value(0, value, keys, fields)) return false;
     SkipSpace();
     if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing characters after JSON value");
+      return Fail("trailing characters after JSON value");
     }
-    return value;
+    return true;
   }
 
+  // Calls visit(element) for each element of the array that is the whole
+  // text — one a Document scan accepted, so the scan cannot fail here — and
+  // returns the first error visit returns. For an object element, `fields`
+  // holds its members named in `keys`.
+  template <typename Visit>
+  Status Elements(KeyNames keys, JsonToken* fields, Visit visit) {
+    ++pos_;  // '['
+    SkipSpace();
+    if (Consume(']')) return Status::OK();
+    do {
+      std::fill(fields, fields + keys.size(), JsonToken{});
+      JsonToken element;
+      Value(0, &element, keys, fields);
+      SOI_RETURN_IF_ERROR(visit(element));
+      SkipSpace();
+    } while (Consume(','));
+    return Status::OK();
+  }
+
+  // The first error, once a scan returned false.
+  const Status& error() const { return error_; }
+
  private:
+  bool Fail(std::string message) {
+    error_ = Status::InvalidArgument(std::move(message));
+    return false;
+  }
+
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
   bool Consume(char c) {
@@ -64,210 +230,301 @@ class JsonReader {
     return false;
   }
 
-  Result<JsonValue> ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unexpected end of JSON input");
-    }
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c == 'n') return ParseNull();
-    if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-    return Status::InvalidArgument(std::string("unexpected character '") + c +
-                                   "' in JSON");
+  // The text from `begin` up to the cursor.
+  std::string_view Slice(size_t begin) const {
+    return std::string_view(text_.data() + begin, pos_ - begin);
   }
 
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
+  // Scans one value inside `depth` containers into *out.
+  bool Value(int depth, JsonToken* out, KeyNames keys = {},
+             JsonToken* fields = nullptr) {
     SkipSpace();
-    if (Consume('}')) return value;
+    if (pos_ >= text_.size()) return Fail("unexpected end of JSON input");
+    const size_t begin = pos_;
+    const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth >= kMaxDepth) {
+        return Fail("JSON nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels");
+      }
+      out->kind = c == '{' ? Kind::kObject : Kind::kArray;
+      if (!(c == '{' ? Object(depth + 1, keys, fields) : Array(depth + 1))) {
+        return false;
+      }
+      out->text = Slice(begin);
+      return true;
+    }
+    if (c == '"') return String(out);
+    if (c == 't' || c == 'f' || c == 'n') return Literal(out);
+    if (c == '-' || (c >= '0' && c <= '9')) return Number(out);
+    return Fail(std::string("unexpected character '") + c + "' in JSON");
+  }
+
+  bool Object(int depth, KeyNames keys, JsonToken* fields) {
+    ++pos_;  // '{'
+    SkipSpace();
+    if (Consume('}')) return true;
     while (true) {
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Status::InvalidArgument("expected string key in JSON object");
+        return Fail("expected string key in JSON object");
       }
-      SOI_ASSIGN_OR_RETURN(JsonValue key, ParseString());
+      JsonToken key;
+      if (!String(&key)) return false;
       SkipSpace();
-      if (!Consume(':')) {
-        return Status::InvalidArgument("expected ':' in JSON object");
+      if (!Consume(':')) return Fail("expected ':' in JSON object");
+      JsonToken value;
+      if (!Value(depth, &value)) return false;
+      if (!keys.empty()) {
+        char buf[kMaxNameBytes];
+        const size_t slot = KeySlot(NameOf(key, buf), keys);
+        if (slot < keys.size() && fields[slot].kind == Kind::kAbsent) {
+          fields[slot] = value;
+        }
       }
-      SOI_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      value.object.emplace_back(std::move(key.string), std::move(member));
       SkipSpace();
-      if (Consume('}')) return value;
-      if (!Consume(',')) {
-        return Status::InvalidArgument("expected ',' or '}' in JSON object");
-      }
+      if (Consume('}')) return true;
+      if (!Consume(',')) return Fail("expected ',' or '}' in JSON object");
     }
   }
 
-  Result<JsonValue> ParseArray() {
+  bool Array(int depth) {
     ++pos_;  // '['
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
     SkipSpace();
-    if (Consume(']')) return value;
+    if (Consume(']')) return true;
     while (true) {
-      SOI_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      value.array.push_back(std::move(element));
+      JsonToken element;
+      if (!Value(depth, &element)) return false;
       SkipSpace();
-      if (Consume(']')) return value;
-      if (!Consume(',')) {
-        return Status::InvalidArgument("expected ',' or ']' in JSON array");
-      }
+      if (Consume(']')) return true;
+      if (!Consume(',')) return Fail("expected ',' or ']' in JSON array");
     }
   }
 
-  Result<JsonValue> ParseString() {
-    ++pos_;  // '"'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
+  bool String(JsonToken* out) {
+    const size_t begin = ++pos_;  // past '"'
+    out->kind = Kind::kString;
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string.push_back(c);
-        continue;
+      if (c == '"') {
+        out->text = std::string_view(text_.data() + begin, pos_ - 1 - begin);
+        return true;
       }
+      if (c != '\\') continue;
       if (pos_ >= text_.size()) break;
+      out->escaped = true;
       const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': value.string.push_back('"'); break;
-        case '\\': value.string.push_back('\\'); break;
-        case '/': value.string.push_back('/'); break;
-        case 'b': value.string.push_back('\b'); break;
-        case 'f': value.string.push_back('\f'); break;
-        case 'n': value.string.push_back('\n'); break;
-        case 'r': value.string.push_back('\r'); break;
-        case 't': value.string.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Status::InvalidArgument("truncated \\u escape in JSON");
-          }
-          uint32_t code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<uint32_t>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<uint32_t>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<uint32_t>(h - 'A' + 10);
-            else return Status::InvalidArgument("bad \\u escape in JSON");
-          }
-          // UTF-8 encode (basic multilingual plane only; enough for a
-          // protocol whose strings are ASCII identifiers).
-          if (code < 0x80) {
-            value.string.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            value.string.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            value.string.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            value.string.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            value.string.push_back(
-                static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            value.string.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
+      if (esc == 'u') {
+        if (pos_ + 4 > text_.size()) {
+          return Fail("truncated \\u escape in JSON");
         }
-        default:
-          return Status::InvalidArgument("bad escape in JSON string");
+        for (int i = 0; i < 4; ++i) {
+          if (HexDigit(text_[pos_++]) < 0) {
+            return Fail("bad \\u escape in JSON");
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(esc) ==
+                 std::string_view::npos) {
+        return Fail("bad escape in JSON string");
       }
     }
-    return Status::InvalidArgument("unterminated JSON string");
+    return Fail("unterminated JSON string");
   }
 
-  Result<JsonValue> ParseBool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      value.boolean = true;
+  // true, false or null (the first letter is one of t, f, n).
+  bool Literal(JsonToken* out) {
+    const std::string_view rest = text_.substr(pos_);
+    out->kind = Kind::kBool;
+    if (rest.starts_with("true")) {
+      out->boolean = true;
       pos_ += 4;
-      return value;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      value.boolean = false;
+    } else if (rest.starts_with("false")) {
       pos_ += 5;
-      return value;
-    }
-    return Status::InvalidArgument("bad literal in JSON");
-  }
-
-  Result<JsonValue> ParseNull() {
-    if (text_.substr(pos_, 4) == "null") {
+    } else if (rest.starts_with("null")) {
+      out->kind = Kind::kNull;
       pos_ += 4;
-      return JsonValue{};
+    } else {
+      return Fail("bad literal in JSON");
     }
-    return Status::InvalidArgument("bad literal in JSON");
+    return true;
   }
 
-  Result<JsonValue> ParseNumber() {
-    const size_t start = pos_;
-    if (Consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+  // The token is the longest run of number characters after an optional
+  // '-', and must then match strtod's grammar whole (as -?D+ always does).
+  bool Number(JsonToken* out) {
+    const size_t begin = pos_;
+    Consume('-');
+    const size_t digits = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("bad number '" + token + "' in JSON");
+    const bool plain = pos_ > digits;
+    const size_t plain_end = pos_;
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
+    out->kind = Kind::kNumber;
+    out->text = Slice(begin);
+    if (!(plain && pos_ == plain_end) && !IsDecimal(out->text)) {
+      return Fail("bad number '" + std::string(out->text) + "' in JSON");
     }
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = v;
-    return value;
+    return true;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  Status error_;
 };
 
 // ---------------------------------------------------------------------------
-// Schema helpers.
+// Schema pass: reads the captured fields in a fixed order, so the first
+// failed check names its field, and writes them into the caller's request.
 // ---------------------------------------------------------------------------
 
-Result<int64_t> RequireInt(const JsonValue& object, std::string_view field,
-                           int64_t fallback, bool required) {
-  const JsonValue* v = object.Find(field);
-  if (v == nullptr) {
-    if (required) {
-      return Status::InvalidArgument("missing required field \"" +
-                                     std::string(field) + "\"");
-    }
-    return fallback;
+enum RootKey : size_t {
+  kId, kV, kTimeoutMs, kAccuracy, kMaxError, kOp, kSeeds, kLocalSearch,
+  kWorld, kK, kMethod, kThreshold, kOps, kRootKeyCount
+};
+constexpr std::string_view kRootKeys[kRootKeyCount] = {
+    "id",    "v", "timeout_ms", "accuracy",  "max_error", "op",  "seeds",
+    "local_search", "world", "k", "method", "threshold", "ops"};
+
+enum UpdateKey : size_t { kUpdateOp, kSrc, kDst, kProb, kUpdateKeyCount };
+constexpr std::string_view kUpdateKeys[kUpdateKeyCount] = {"op", "src", "dst",
+                                                           "prob"};
+
+// A number token the scan accepted, as strtod reads it. from_chars agrees
+// with strtod inside double's range; outside it, strtod's ±HUGE_VAL or
+// underflow is the value (a rare enough case to copy the token).
+double ToDouble(std::string_view token) {
+  double value = 0.0;
+  if (std::from_chars(token.data(), token.data() + token.size(), value).ec ==
+      std::errc()) {
+    return value;
   }
-  if (v->kind != JsonValue::Kind::kNumber ||
-      v->number != std::floor(v->number)) {
-    return Status::InvalidArgument("field \"" + std::string(field) +
-                                   "\" must be an integer");
-  }
-  return static_cast<int64_t>(v->number);
+  return std::strtod(std::string(token).c_str(), nullptr);
 }
 
-Result<std::vector<NodeId>> RequireSeeds(const JsonValue& object) {
-  const JsonValue* v = object.Find("seeds");
-  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
+// An integer field's token: a plain integer is read exactly, a token with
+// a fraction or exponent as a double that must be integral. False when the
+// value lies outside int64 in either form; nothing is cast then.
+bool ToInt64(std::string_view token, int64_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
+  if (stop == end) return ec == std::errc();
+  const double value = ToDouble(token);
+  if (value != std::floor(value) || !(value >= -0x1p63 && value < 0x1p63)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(value);
+  return true;
+}
+
+// Reads integer field `name` into *out, which keeps its default when the
+// field is absent and not `required`.
+Status ReadInt(const JsonToken& t, std::string_view name, bool required,
+               int64_t* out) {
+  if (t.kind == Kind::kAbsent) {
+    if (!required) return Status::OK();
+    return Status::InvalidArgument("missing required field \"" +
+                                   std::string(name) + "\"");
+  }
+  if (t.kind != Kind::kNumber || !ToInt64(t.text, out)) {
+    return Status::InvalidArgument("field \"" + std::string(name) +
+                                   "\" must be an integer");
+  }
+  return Status::OK();
+}
+
+Status ReadSeeds(const JsonToken& t, std::vector<NodeId>* seeds) {
+  if (t.kind != Kind::kArray) {
     return Status::InvalidArgument(
         "missing required field \"seeds\" (array of node ids)");
   }
-  std::vector<NodeId> seeds;
-  seeds.reserve(v->array.size());
-  for (const JsonValue& e : v->array) {
-    if (e.kind != JsonValue::Kind::kNumber || e.number != std::floor(e.number) ||
-        e.number < 0.0 || e.number > static_cast<double>(UINT32_MAX)) {
+  seeds->clear();
+  // The scan accepted the array, so it is '[', values split by ',' with
+  // space around them, and ']': a walk needs no bounds checks, and the first
+  // element that is not a number token fails before it needs skipping.
+  for (const char* p = t.text.data() + 1;; ++p) {
+    while (IsSpace(*p)) ++p;
+    if (*p == ']') return Status::OK();  // empty array
+    const char* token = p;
+    while (IsNumberChar(*p)) ++p;
+    int64_t v = -1;
+    if (p == token || !ToInt64({token, static_cast<size_t>(p - token)}, &v) ||
+        v < 0 || v > static_cast<int64_t>(UINT32_MAX)) {
       return Status::InvalidArgument(
           "\"seeds\" entries must be non-negative 32-bit node ids");
     }
-    seeds.push_back(static_cast<NodeId>(e.number));
+    seeds->push_back(static_cast<NodeId>(v));
+    while (IsSpace(*p)) ++p;
+    if (*p == ']') return Status::OK();
   }
-  return seeds;
+}
+
+// An update request's "ops" array, whose entries are
+//   {"op":"insert","src":U,"dst":V,"prob":P}
+//   {"op":"delete","src":U,"dst":V}
+//   {"op":"prob","src":U,"dst":V,"prob":P}
+Status ReadUpdateOps(const JsonToken& t, std::vector<GraphUpdate>* ops) {
+  if (t.kind != Kind::kArray) {
+    return Status::InvalidArgument(
+        "missing required field \"ops\" (array of update objects)");
+  }
+  ops->clear();
+  JsonToken f[kUpdateKeyCount];
+  return JsonScanner(t.text).Elements(
+      kUpdateKeys, f, [&](const JsonToken& entry) -> Status {
+        if (entry.kind != Kind::kObject) {
+          return Status::InvalidArgument(
+              "\"ops\" entries must be JSON objects");
+        }
+        const JsonToken& op = f[kUpdateOp];
+        if (op.kind != Kind::kString) {
+          return Status::InvalidArgument(
+              "update op missing \"op\" (insert|delete|prob)");
+        }
+        GraphUpdate update;
+        char buf[kMaxNameBytes];
+        const std::string_view name = NameOf(op, buf);
+        if (name == "insert") {
+          update.kind = UpdateKind::kEdgeInsert;
+        } else if (name == "delete") {
+          update.kind = UpdateKind::kEdgeDelete;
+        } else if (name == "prob") {
+          update.kind = UpdateKind::kProbUpdate;
+        } else {
+          return Status::InvalidArgument("unknown update op \"" +
+                                         Decoded(op) +
+                                         "\" (expected insert|delete|prob)");
+        }
+        int64_t src = 0;
+        int64_t dst = 0;
+        SOI_RETURN_IF_ERROR(ReadInt(f[kSrc], "src", /*required=*/true, &src));
+        SOI_RETURN_IF_ERROR(ReadInt(f[kDst], "dst", /*required=*/true, &dst));
+        if (src < 0 || src > static_cast<int64_t>(UINT32_MAX) || dst < 0 ||
+            dst > static_cast<int64_t>(UINT32_MAX)) {
+          return Status::InvalidArgument(
+              "\"src\"/\"dst\" must be non-negative 32-bit node ids");
+        }
+        update.src = static_cast<NodeId>(src);
+        update.dst = static_cast<NodeId>(dst);
+        if (update.kind != UpdateKind::kEdgeDelete) {
+          if (f[kProb].kind != Kind::kNumber) {
+            return Status::InvalidArgument("update op \"" + Decoded(op) +
+                                           "\" requires a numeric \"prob\"");
+          }
+          update.prob = ToDouble(f[kProb].text);
+        }
+        ops->push_back(update);
+        return Status::OK();
+      });
+}
+
+// Reuse-or-emplace: keeps the payload's current alternative (and its heap
+// capacity) when the type already matches.
+template <typename T>
+T* PayloadSlot(Request* request) {
+  if (T* existing = std::get_if<T>(&request->payload)) return existing;
+  return &request->payload.emplace<T>();
 }
 
 // Integer serialization without the std::to_string temporary: to_chars into
@@ -357,352 +614,6 @@ struct ResponseBodyWriter {
   }
 };
 
-// One element of an update request's "ops" array:
-//   {"op":"insert","src":U,"dst":V,"prob":P}
-//   {"op":"delete","src":U,"dst":V}
-//   {"op":"prob","src":U,"dst":V,"prob":P}
-Result<GraphUpdate> ParseUpdateOp(const JsonValue& op) {
-  if (op.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("\"ops\" entries must be JSON objects");
-  }
-  const JsonValue* kind = op.Find("op");
-  if (kind == nullptr || kind->kind != JsonValue::Kind::kString) {
-    return Status::InvalidArgument(
-        "update op missing \"op\" (insert|delete|prob)");
-  }
-  GraphUpdate out;
-  bool needs_prob = true;
-  if (kind->string == "insert") {
-    out.kind = UpdateKind::kEdgeInsert;
-  } else if (kind->string == "delete") {
-    out.kind = UpdateKind::kEdgeDelete;
-    needs_prob = false;
-  } else if (kind->string == "prob") {
-    out.kind = UpdateKind::kProbUpdate;
-  } else {
-    return Status::InvalidArgument("unknown update op \"" + kind->string +
-                                   "\" (expected insert|delete|prob)");
-  }
-  SOI_ASSIGN_OR_RETURN(const int64_t src,
-                       RequireInt(op, "src", 0, /*required=*/true));
-  SOI_ASSIGN_OR_RETURN(const int64_t dst,
-                       RequireInt(op, "dst", 0, /*required=*/true));
-  if (src < 0 || src > static_cast<int64_t>(UINT32_MAX) || dst < 0 ||
-      dst > static_cast<int64_t>(UINT32_MAX)) {
-    return Status::InvalidArgument(
-        "\"src\"/\"dst\" must be non-negative 32-bit node ids");
-  }
-  out.src = static_cast<NodeId>(src);
-  out.dst = static_cast<NodeId>(dst);
-  if (needs_prob) {
-    const JsonValue* prob = op.Find("prob");
-    if (prob == nullptr || prob->kind != JsonValue::Kind::kNumber) {
-      return Status::InvalidArgument("update op \"" + kind->string +
-                                     "\" requires a numeric \"prob\"");
-    }
-    out.prob = prob->number;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Fast in-situ request parser (the serving hot path).
-//
-// Recognizes the flat request subset every real client emits — one JSON
-// object, known keys, plain integers/doubles, escape-free strings — as
-// string_view slices over the connection buffer, with zero heap
-// allocations. ANY deviation (unknown or duplicate keys, escapes, "update"
-// batches, malformed syntax, failed validation) makes it bail out and the
-// canonical JsonReader-based parser runs instead. The fast path therefore
-// never changes observable behavior: it only accepts lines the canonical
-// parser would accept, producing an identical ProtocolRequest, and every
-// error message keeps coming from the one canonical implementation.
-// ---------------------------------------------------------------------------
-
-struct FastFields {
-  std::optional<int64_t> id, v, timeout_ms, world, k;
-  std::optional<bool> local_search;
-  std::optional<double> threshold, max_error;
-  std::string_view op, method, accuracy;
-  std::string_view seeds;  // the bytes between '[' and ']'
-  bool has_op = false, has_method = false, has_accuracy = false;
-  bool has_seeds = false;
-};
-
-class FastParser {
- public:
-  explicit FastParser(std::string_view s) : s_(s) {}
-
-  // True when the whole line is in the fast subset and *f holds every
-  // field; false means "use the canonical parser".
-  bool Scan(FastFields* f) {
-    SkipWs();
-    if (!Consume('{')) return false;
-    SkipWs();
-    if (!Consume('}')) {
-      while (true) {
-        std::string_view key;
-        if (!ScanString(&key)) return false;
-        SkipWs();
-        if (!Consume(':')) return false;
-        SkipWs();
-        if (!ScanMember(f, key)) return false;
-        SkipWs();
-        if (Consume('}')) break;
-        if (!Consume(',')) return false;
-        SkipWs();
-      }
-    }
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ScanMember(FastFields* f, std::string_view key) {
-    if (key == "id") return ScanInt(&f->id);
-    if (key == "v") return ScanInt(&f->v);
-    if (key == "timeout_ms") return ScanInt(&f->timeout_ms);
-    if (key == "world") return ScanInt(&f->world);
-    if (key == "k") return ScanInt(&f->k);
-    if (key == "local_search") return ScanBool(&f->local_search);
-    if (key == "threshold") return ScanDouble(&f->threshold);
-    if (key == "max_error") return ScanDouble(&f->max_error);
-    if (key == "op") return ScanStringField(&f->op, &f->has_op);
-    if (key == "method") return ScanStringField(&f->method, &f->has_method);
-    if (key == "accuracy") {
-      return ScanStringField(&f->accuracy, &f->has_accuracy);
-    }
-    if (key == "seeds") return ScanSeeds(f);
-    // Unknown key (including "ops": update batches are rare and allocate
-    // anyway): let the canonical parser decide what it means.
-    return false;
-  }
-
-  // A duplicate key bails out in every Scan* helper: the canonical parser
-  // honors the FIRST occurrence, and replicating that here isn't worth it.
-
-  bool ScanInt(std::optional<int64_t>* dst) {
-    if (dst->has_value()) return false;
-    int64_t v = 0;
-    const auto res =
-        std::from_chars(s_.data() + pos_, s_.data() + s_.size(), v);
-    if (res.ec != std::errc()) return false;
-    const size_t next = static_cast<size_t>(res.ptr - s_.data());
-    // A fraction or exponent makes this a double; the canonical parser
-    // decides whether it is integral.
-    if (next < s_.size() &&
-        (s_[next] == '.' || s_[next] == 'e' || s_[next] == 'E')) {
-      return false;
-    }
-    pos_ = next;
-    *dst = v;
-    return true;
-  }
-
-  bool ScanDouble(std::optional<double>* dst) {
-    if (dst->has_value()) return false;
-    if (pos_ >= s_.size()) return false;
-    // from_chars accepts "inf"/"nan"; the canonical number grammar does
-    // not, so demand a digit or sign up front.
-    const char c = s_[pos_];
-    if (c != '-' && (c < '0' || c > '9')) return false;
-    double v = 0.0;
-    const auto res =
-        std::from_chars(s_.data() + pos_, s_.data() + s_.size(), v);
-    if (res.ec != std::errc()) return false;
-    pos_ = static_cast<size_t>(res.ptr - s_.data());
-    *dst = v;
-    return true;
-  }
-
-  bool ScanBool(std::optional<bool>* dst) {
-    if (dst->has_value()) return false;
-    if (s_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      *dst = true;
-      return true;
-    }
-    if (s_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      *dst = false;
-      return true;
-    }
-    return false;
-  }
-
-  bool ScanString(std::string_view* out) {
-    if (!Consume('"')) return false;
-    const size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') return false;  // escapes: canonical parser
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;  // unterminated
-    *out = s_.substr(begin, pos_ - begin);
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ScanStringField(std::string_view* out, bool* present) {
-    if (*present) return false;
-    if (!ScanString(out)) return false;
-    *present = true;
-    return true;
-  }
-
-  bool ScanSeeds(FastFields* f) {
-    if (f->has_seeds) return false;
-    if (!Consume('[')) return false;
-    const size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] != ']') {
-      const char c = s_[pos_];
-      const bool numeric = (c >= '0' && c <= '9') || c == '-' || c == '+' ||
-                           c == '.' || c == 'e' || c == 'E';
-      if (!numeric && c != ',' && c != ' ' && c != '\t') return false;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;  // unterminated array
-    f->seeds = s_.substr(begin, pos_ - begin);
-    f->has_seeds = true;
-    ++pos_;  // ']'
-    return true;
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-// Extracts the seeds slice into a reused vector. Bails (false) on anything
-// the canonical RequireSeeds would reject, so its error message is produced
-// by the fallback.
-bool ParseSeedsInto(std::string_view slice, std::vector<NodeId>* seeds) {
-  seeds->clear();
-  size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < slice.size() && (slice[pos] == ' ' || slice[pos] == '\t')) {
-      ++pos;
-    }
-  };
-  skip_ws();
-  if (pos == slice.size()) return true;  // empty array
-  while (true) {
-    uint64_t v = 0;
-    const auto res =
-        std::from_chars(slice.data() + pos, slice.data() + slice.size(), v);
-    if (res.ec != std::errc()) return false;
-    const size_t next = static_cast<size_t>(res.ptr - slice.data());
-    if (next < slice.size() &&
-        (slice[next] == '.' || slice[next] == 'e' || slice[next] == 'E')) {
-      return false;  // fractional node id: canonical error path
-    }
-    if (v > UINT32_MAX) return false;
-    seeds->push_back(static_cast<NodeId>(v));
-    pos = next;
-    skip_ws();
-    if (pos == slice.size()) return true;
-    if (slice[pos] != ',') return false;
-    ++pos;
-    skip_ws();
-    if (pos == slice.size()) return false;  // trailing comma
-  }
-}
-
-// Reuse-or-emplace: keeps the payload's current alternative (and its heap
-// capacity) when the type already matches.
-template <typename T>
-T* PayloadSlot(Request* request) {
-  if (T* existing = std::get_if<T>(&request->payload)) return existing;
-  return &request->payload.emplace<T>();
-}
-
-// Maps scanned fields onto *out, replicating the canonical parser's
-// validation. Any failed check bails to the fallback so the error message
-// has a single source of truth. On success *out is exactly what
-// ParseRequestLine would have produced.
-bool BuildFastRequest(const FastFields& f, ProtocolRequest* out) {
-  const int64_t version = f.v.value_or(1);
-  if (version != 1 && version != 2) return false;
-  const int64_t timeout_ms = f.timeout_ms.value_or(0);
-  if (timeout_ms < 0) return false;
-  if (version < 2 && (f.has_accuracy || f.max_error.has_value())) {
-    return false;  // v2 fields on a v1 line: canonical error
-  }
-  Accuracy accuracy = Accuracy::kExact;
-  if (f.has_accuracy) {
-    if (f.accuracy == "exact") {
-      accuracy = Accuracy::kExact;
-    } else if (f.accuracy == "sketch") {
-      accuracy = Accuracy::kSketch;
-    } else if (f.accuracy == "auto") {
-      accuracy = Accuracy::kAuto;
-    } else {
-      return false;
-    }
-  }
-  const double max_error = f.max_error.value_or(0.0);
-  if (max_error < 0.0) return false;
-  if (!f.has_op) return false;
-
-  if (f.op == "typical") {
-    if (!f.has_seeds) return false;
-    auto* req = PayloadSlot<TypicalCascadeRequest>(&out->request);
-    if (!ParseSeedsInto(f.seeds, &req->seeds)) return false;
-    req->local_search = f.local_search.value_or(false);
-  } else if (f.op == "cascade") {
-    if (!f.has_seeds || !f.world.has_value()) return false;
-    if (*f.world < 0 || *f.world > static_cast<int64_t>(UINT32_MAX)) {
-      return false;
-    }
-    auto* req = PayloadSlot<CascadeRequest>(&out->request);
-    if (!ParseSeedsInto(f.seeds, &req->seeds)) return false;
-    req->world = static_cast<uint32_t>(*f.world);
-  } else if (f.op == "spread") {
-    if (!f.has_seeds) return false;
-    auto* req = PayloadSlot<SpreadRequest>(&out->request);
-    if (!ParseSeedsInto(f.seeds, &req->seeds)) return false;
-  } else if (f.op == "seed_select") {
-    if (!f.k.has_value()) return false;
-    if (*f.k <= 0 || *f.k > static_cast<int64_t>(UINT32_MAX)) return false;
-    auto* req = PayloadSlot<SeedSelectRequest>(&out->request);
-    req->k = static_cast<uint32_t>(*f.k);
-    if (f.has_method) {
-      req->method.assign(f.method);
-    } else {
-      req->method.assign("tc");
-    }
-  } else if (f.op == "reliability") {
-    if (!f.has_seeds) return false;
-    auto* req = PayloadSlot<ReliabilityRequest>(&out->request);
-    if (!ParseSeedsInto(f.seeds, &req->seeds)) return false;
-    req->threshold = f.threshold.value_or(0.5);
-  } else {
-    // "update" and unknown ops: canonical path (updates allocate anyway).
-    return false;
-  }
-
-  out->id = f.id.value_or(-1);
-  out->version = static_cast<int>(version);
-  out->request.timeout_ms = static_cast<uint64_t>(timeout_ms);
-  out->request.accuracy = accuracy;
-  out->request.max_error = max_error;
-  return true;
-}
-
 // Quote-aware scan for a top-level  "key" ws* ':' ws* <integer>  pattern.
 // Tracks string boundaries (honoring backslash escapes) so a key embedded
 // inside a string VALUE is never matched, and a quoted token only counts as
@@ -739,18 +650,14 @@ bool SalvageIntField(std::string_view line, std::string_view key,
     if (j >= n || line[j] != ':') continue;  // a string value, not a key
     ++j;
     while (j < n && is_ws(line[j])) ++j;
-    bool negative = false;
-    if (j < n && line[j] == '-') {
-      negative = true;
-      ++j;
-    }
+    const size_t begin = j;
+    if (j < n && line[j] == '-') ++j;
     if (j >= n || line[j] < '0' || line[j] > '9') continue;
-    int64_t value = 0;
-    while (j < n && line[j] >= '0' && line[j] <= '9') {
-      value = value * 10 + (line[j] - '0');
-      ++j;
+    // Digits past int64's range make no integer either.
+    if (std::from_chars(line.data() + begin, line.data() + n, *out).ec !=
+        std::errc()) {
+      continue;
     }
-    *out = negative ? -value : value;
     return true;
   }
   return false;
@@ -790,155 +697,139 @@ const char* StatusCodeToErrorCode(StatusCode code) {
   return "UNKNOWN";
 }
 
-Result<ProtocolRequest> ParseRequestLine(std::string_view line) {
-  JsonReader reader(line);
-  SOI_ASSIGN_OR_RETURN(const JsonValue root, reader.Parse());
-  if (root.kind != JsonValue::Kind::kObject) {
+Status ParseRequestLineInto(std::string_view line, ProtocolRequest* out) {
+  JsonToken root;
+  JsonToken f[kRootKeyCount];
+  JsonScanner scanner(line);
+  if (!scanner.Document(&root, kRootKeys, f)) return scanner.error();
+  if (root.kind != Kind::kObject) {
     return Status::InvalidArgument("request line must be a JSON object");
   }
 
-  ProtocolRequest out;
-  SOI_ASSIGN_OR_RETURN(out.id, RequireInt(root, "id", -1, /*required=*/false));
-  SOI_ASSIGN_OR_RETURN(const int64_t version,
-                       RequireInt(root, "v", 1, /*required=*/false));
+  int64_t id = -1;
+  int64_t version = 1;
+  int64_t timeout_ms = 0;
+  SOI_RETURN_IF_ERROR(ReadInt(f[kId], "id", /*required=*/false, &id));
+  SOI_RETURN_IF_ERROR(ReadInt(f[kV], "v", /*required=*/false, &version));
   if (version != 1 && version != 2) {
     return Status::InvalidArgument(
         "unsupported protocol version \"v\":" + std::to_string(version) +
         " (this server speaks v1 and v2)");
   }
-  out.version = static_cast<int>(version);
-  SOI_ASSIGN_OR_RETURN(
-      const int64_t timeout_ms,
-      RequireInt(root, "timeout_ms", 0, /*required=*/false));
+  SOI_RETURN_IF_ERROR(
+      ReadInt(f[kTimeoutMs], "timeout_ms", /*required=*/false, &timeout_ms));
   if (timeout_ms < 0) {
     return Status::InvalidArgument("\"timeout_ms\" must be >= 0");
   }
-  out.request.timeout_ms = static_cast<uint64_t>(timeout_ms);
 
   // Accuracy envelope fields are v2-only and uniform across ops. On a v1
   // line they are an error naming the fix — silently ignoring them would
   // serve exact answers to a client that asked for routing.
-  const JsonValue* accuracy = root.Find("accuracy");
-  const JsonValue* max_error = root.Find("max_error");
-  if (out.version < 2 && (accuracy != nullptr || max_error != nullptr)) {
+  const JsonToken& accuracy = f[kAccuracy];
+  const JsonToken& max_error = f[kMaxError];
+  if (version < 2 &&
+      (accuracy.kind != Kind::kAbsent || max_error.kind != Kind::kAbsent)) {
     return Status::InvalidArgument(
         "\"accuracy\"/\"max_error\" require the v2 envelope; add \"v\":2 to "
         "the request");
   }
-  if (accuracy != nullptr) {
-    if (accuracy->kind != JsonValue::Kind::kString) {
+  Request& request = out->request;
+  char name[kMaxNameBytes];
+  request.accuracy = Accuracy::kExact;
+  if (accuracy.kind != Kind::kAbsent) {
+    if (accuracy.kind != Kind::kString) {
       return Status::InvalidArgument("\"accuracy\" must be a string");
     }
-    if (accuracy->string == "exact") {
-      out.request.accuracy = Accuracy::kExact;
-    } else if (accuracy->string == "sketch") {
-      out.request.accuracy = Accuracy::kSketch;
-    } else if (accuracy->string == "auto") {
-      out.request.accuracy = Accuracy::kAuto;
+    const std::string_view value = NameOf(accuracy, name);
+    if (value == "exact") {
+      request.accuracy = Accuracy::kExact;
+    } else if (value == "sketch") {
+      request.accuracy = Accuracy::kSketch;
+    } else if (value == "auto") {
+      request.accuracy = Accuracy::kAuto;
     } else {
       return Status::InvalidArgument("unknown accuracy \"" +
-                                     accuracy->string +
+                                     Decoded(accuracy) +
                                      "\" (expected exact|sketch|auto)");
     }
   }
-  if (max_error != nullptr) {
-    if (max_error->kind != JsonValue::Kind::kNumber ||
-        max_error->number < 0.0) {
-      return Status::InvalidArgument("\"max_error\" must be a number >= 0");
-    }
-    out.request.max_error = max_error->number;
+  request.max_error =
+      max_error.kind == Kind::kNumber ? ToDouble(max_error.text) : 0.0;
+  if ((max_error.kind != Kind::kAbsent && max_error.kind != Kind::kNumber) ||
+      request.max_error < 0.0) {
+    return Status::InvalidArgument("\"max_error\" must be a number >= 0");
   }
 
-  const JsonValue* op = root.Find("op");
-  if (op == nullptr || op->kind != JsonValue::Kind::kString) {
+  const JsonToken& op = f[kOp];
+  if (op.kind != Kind::kString) {
     return Status::InvalidArgument("missing required field \"op\" (string)");
   }
-
-  if (op->string == "typical") {
-    TypicalCascadeRequest req;
-    SOI_ASSIGN_OR_RETURN(req.seeds, RequireSeeds(root));
-    const JsonValue* ls = root.Find("local_search");
-    if (ls != nullptr) {
-      if (ls->kind != JsonValue::Kind::kBool) {
-        return Status::InvalidArgument("\"local_search\" must be a boolean");
-      }
-      req.local_search = ls->boolean;
+  const std::string_view op_name = NameOf(op, name);
+  if (op_name == "typical") {
+    auto* req = PayloadSlot<TypicalCascadeRequest>(&request);
+    SOI_RETURN_IF_ERROR(ReadSeeds(f[kSeeds], &req->seeds));
+    const JsonToken& local_search = f[kLocalSearch];
+    if (local_search.kind != Kind::kAbsent &&
+        local_search.kind != Kind::kBool) {
+      return Status::InvalidArgument("\"local_search\" must be a boolean");
     }
-    out.request.payload = std::move(req);
-  } else if (op->string == "cascade") {
-    CascadeRequest req;
-    SOI_ASSIGN_OR_RETURN(req.seeds, RequireSeeds(root));
-    SOI_ASSIGN_OR_RETURN(const int64_t world,
-                         RequireInt(root, "world", 0, /*required=*/true));
+    req->local_search = local_search.boolean;
+  } else if (op_name == "cascade") {
+    auto* req = PayloadSlot<CascadeRequest>(&request);
+    SOI_RETURN_IF_ERROR(ReadSeeds(f[kSeeds], &req->seeds));
+    int64_t world = 0;
+    SOI_RETURN_IF_ERROR(ReadInt(f[kWorld], "world", /*required=*/true, &world));
     if (world < 0 || world > static_cast<int64_t>(UINT32_MAX)) {
       return Status::InvalidArgument("\"world\" must be a 32-bit world index");
     }
-    req.world = static_cast<uint32_t>(world);
-    out.request.payload = std::move(req);
-  } else if (op->string == "spread") {
-    SpreadRequest req;
-    SOI_ASSIGN_OR_RETURN(req.seeds, RequireSeeds(root));
-    out.request.payload = std::move(req);
-  } else if (op->string == "seed_select") {
-    SeedSelectRequest req;
-    SOI_ASSIGN_OR_RETURN(const int64_t k,
-                         RequireInt(root, "k", 0, /*required=*/true));
+    req->world = static_cast<uint32_t>(world);
+  } else if (op_name == "spread") {
+    SOI_RETURN_IF_ERROR(
+        ReadSeeds(f[kSeeds], &PayloadSlot<SpreadRequest>(&request)->seeds));
+  } else if (op_name == "seed_select") {
+    auto* req = PayloadSlot<SeedSelectRequest>(&request);
+    int64_t k = 0;
+    SOI_RETURN_IF_ERROR(ReadInt(f[kK], "k", /*required=*/true, &k));
     if (k <= 0 || k > static_cast<int64_t>(UINT32_MAX)) {
       return Status::InvalidArgument("\"k\" must be a positive integer");
     }
-    req.k = static_cast<uint32_t>(k);
-    const JsonValue* method = root.Find("method");
-    if (method != nullptr) {
-      if (method->kind != JsonValue::Kind::kString) {
-        return Status::InvalidArgument("\"method\" must be a string");
-      }
-      req.method = method->string;
+    req->k = static_cast<uint32_t>(k);
+    const JsonToken& method = f[kMethod];
+    if (method.kind == Kind::kAbsent) {
+      req->method.assign("tc");
+    } else if (method.kind != Kind::kString) {
+      return Status::InvalidArgument("\"method\" must be a string");
+    } else {
+      AssignDecoded(method, &req->method);
     }
-    out.request.payload = std::move(req);
-  } else if (op->string == "reliability") {
-    ReliabilityRequest req;
-    SOI_ASSIGN_OR_RETURN(req.seeds, RequireSeeds(root));
-    const JsonValue* threshold = root.Find("threshold");
-    if (threshold != nullptr) {
-      if (threshold->kind != JsonValue::Kind::kNumber) {
-        return Status::InvalidArgument("\"threshold\" must be a number");
-      }
-      req.threshold = threshold->number;
+  } else if (op_name == "reliability") {
+    auto* req = PayloadSlot<ReliabilityRequest>(&request);
+    SOI_RETURN_IF_ERROR(ReadSeeds(f[kSeeds], &req->seeds));
+    const JsonToken& threshold = f[kThreshold];
+    if (threshold.kind != Kind::kAbsent && threshold.kind != Kind::kNumber) {
+      return Status::InvalidArgument("\"threshold\" must be a number");
     }
-    out.request.payload = std::move(req);
-  } else if (op->string == "update") {
-    UpdateRequest req;
-    const JsonValue* ops = root.Find("ops");
-    if (ops == nullptr || ops->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument(
-          "missing required field \"ops\" (array of update objects)");
-    }
-    req.ops.reserve(ops->array.size());
-    for (const JsonValue& e : ops->array) {
-      SOI_ASSIGN_OR_RETURN(GraphUpdate update, ParseUpdateOp(e));
-      req.ops.push_back(update);
-    }
-    out.request.payload = std::move(req);
+    req->threshold =
+        threshold.kind == Kind::kNumber ? ToDouble(threshold.text) : 0.5;
+  } else if (op_name == "update") {
+    SOI_RETURN_IF_ERROR(
+        ReadUpdateOps(f[kOps], &PayloadSlot<UpdateRequest>(&request)->ops));
   } else {
     return Status::InvalidArgument(
-        "unknown op \"" + op->string +
+        "unknown op \"" + Decoded(op) +
         "\" (expected typical|cascade|spread|seed_select|reliability|"
         "update)");
   }
-  return out;
+  out->id = id;
+  out->version = static_cast<int>(version);
+  request.timeout_ms = static_cast<uint64_t>(timeout_ms);
+  return Status::OK();
 }
 
-Status ParseRequestLineInto(std::string_view line, ProtocolRequest* out) {
-  FastFields fields;
-  if (FastParser(line).Scan(&fields) && BuildFastRequest(fields, out)) {
-    return Status::OK();
-  }
-  // Outside the fast subset (or validation failed): the canonical parser is
-  // the single source of truth for both acceptance and error text.
-  Result<ProtocolRequest> parsed = ParseRequestLine(line);
-  if (!parsed.ok()) return parsed.status();
-  *out = std::move(*parsed);
-  return Status::OK();
+Result<ProtocolRequest> ParseRequestLine(std::string_view line) {
+  ProtocolRequest out;
+  SOI_RETURN_IF_ERROR(ParseRequestLineInto(line, &out));
+  return out;
 }
 
 int64_t SalvageId(std::string_view line) {

@@ -91,18 +91,25 @@ struct ProtocolRequest {
 
 /// Parses one request line. Unknown "op" values, missing required fields,
 /// wrong types, and trailing garbage are all InvalidArgument with a message
-/// naming the offending field.
+/// naming the offending field. A thin wrapper over ParseRequestLineInto.
 Result<ProtocolRequest> ParseRequestLine(std::string_view line);
 
-/// Zero-allocation variant for the serving hot path: parses `line` into
-/// `*out`, reusing whatever storage `*out` already holds (seed vectors,
-/// method strings, the payload variant's current alternative). Flat
-/// requests in the common shape — no escapes, no duplicate keys, plain
-/// integers — are parsed in situ over the connection buffer without a
-/// single heap allocation once the slot is warm. Anything unusual
-/// (escaped strings, "update" batches, malformed JSON) falls back to
-/// ParseRequestLine, so accepted requests and error messages are
-/// byte-identical to the allocating parser in every case.
+/// The request parser: parses `line` into `*out`, reusing whatever storage
+/// `*out` already holds (seed vectors, method strings, the payload variant's
+/// current alternative), so a warm slot parses without a heap allocation.
+/// On error `*out` holds no meaningful request.
+///
+/// One forward scan over the line checks the whole JSON text (the leftmost
+/// syntax error is the one reported) and keeps the first occurrence of each
+/// key the schema knows; unknown keys and later duplicates are checked and
+/// ignored, and escapes are decoded in keys and strings alike. Containers
+/// nest at most 64 levels deep (the schema needs 3); a deeper line is
+/// InvalidArgument naming the limit, so no line sets how deep the scan
+/// recurses. Integer fields ("id", "v", "timeout_ms", "world", "k", "seeds"
+/// entries, "src", "dst") take a plain integer token, read exactly as an
+/// int64, or a token with a fraction or exponent that is integral; a value
+/// outside int64 in either form is `field "X" must be an integer` (for a
+/// seed, the seeds message), never a wrapped or clamped number.
 Status ParseRequestLineInto(std::string_view line, ProtocolRequest* out);
 
 /// Appends one response line (terminated with '\n') in the shape of
@@ -126,7 +133,7 @@ std::string FormatResponseLine(int64_t id, int version,
 /// for a quoted "id" KEY — a quote-aware tokenizer, not a substring match,
 /// so an "id" embedded inside a string value never counts — tolerating
 /// arbitrary whitespace around the ':'. Returns -1 when no id key with an
-/// integer value is found.
+/// integer value inside int64 is found.
 int64_t SalvageId(std::string_view line);
 
 /// Best-effort recovery of the envelope version from a malformed line (same

@@ -40,13 +40,19 @@ struct ServeOptions {
   /// port — the race-free way for a test or supervisor to learn when (and
   /// where) to connect.
   std::function<void(uint16_t)> on_listening;
-  /// Invoked at serve-loop boundaries: on every event-loop wakeup (including
-  /// signal interruptions, so a SIGHUP handler's flag is seen promptly).
-  /// This is where a CLI reload handler checks its flag and
-  /// EngineHandle::Swap()s in a fresh snapshot — never from signal context.
-  /// Must not block for long; requests queue while it runs.
+  /// Invoked at serve-loop boundaries: on every event-loop wakeup, including
+  /// signal interruptions and WakeServeLoops(), so a SIGHUP handler's flag
+  /// is seen at once. This is where a CLI reload handler checks its flag
+  /// and EngineHandle::Swap()s in a fresh snapshot — never from signal
+  /// context. Must not block for long; requests queue while it runs.
   std::function<void()> poll;
 };
+
+/// Wakes every running serve loop that has a poll hook, so each runs the
+/// hook now rather than at its next request, whatever the loop was doing
+/// when this was called. Async-signal-safe (one write(2) to an eventfd in
+/// each loop's epoll set): a signal handler sets its flag, then calls this.
+void WakeServeLoops();
 
 /// Runs the line-JSON protocol over a pair of file descriptors until EOF on
 /// `in_fd` — the single-connection degenerate case of the epoll event loop

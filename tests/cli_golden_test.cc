@@ -358,15 +358,20 @@ class ServeProcess {
         static_cast<ssize_t>(text.size())) {
       return "";
     }
-    return ReadLine(out_, &out_buf_, [](const std::string&) { return true; });
+    return ReadLine(out_, &out_buf_, [](const std::string&) { return true; },
+                    kTimeout);
   }
 
   // Reads stderr lines until one contains `needle` and returns it; "" on
   // timeout or EOF.
-  std::string AwaitStderr(const std::string& needle) {
-    return ReadLine(err_, &err_buf_, [&](const std::string& l) {
-      return l.find(needle) != std::string::npos;
-    });
+  std::string AwaitStderr(const std::string& needle,
+                          std::chrono::seconds timeout = kTimeout) {
+    return ReadLine(
+        err_, &err_buf_,
+        [&](const std::string& l) {
+          return l.find(needle) != std::string::npos;
+        },
+        timeout);
   }
 
   void Signal(int sig) { ::kill(pid_, sig); }
@@ -383,10 +388,12 @@ class ServeProcess {
   }
 
  private:
+  static constexpr std::chrono::seconds kTimeout{30};
+
   template <typename Accept>
-  static std::string ReadLine(int fd, std::string* buf, Accept accept) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  static std::string ReadLine(int fd, std::string* buf, Accept accept,
+                              std::chrono::seconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
       for (size_t nl; (nl = buf->find('\n')) != std::string::npos;) {
         std::string line = buf->substr(0, nl);
@@ -471,6 +478,28 @@ TEST(CliGoldenTest, SighupReloadRefusesMalformedWorldBeforeSwap) {
   EXPECT_EQ(serve.Ask(cascade), cascade_answer);
   EXPECT_NE(serve.AwaitStderr("snapshot reloaded"), "");
   EXPECT_EQ(serve.Ask(reliability), reliability_answer);
+  EXPECT_EQ(serve.Finish(), 0);
+  std::remove(path.c_str());
+}
+
+// Every SIGHUP reloads at once, with no request to wake the loop: also one
+// that lands while the loop is still busy with the answer just read, which
+// used to wait for the next request.
+TEST(CliGoldenTest, SighupReloadsWithoutAnotherRequest) {
+  const std::string path = testing::TempDir() + "cli_golden_wake.soisnap";
+  ASSERT_EQ(RunCli("snapshot create " + GraphFlags() +
+                   " --threads 1 --out '" + path + "'").exit_code,
+            0);
+  ServeProcess serve({"serve", "--snapshot", path, "--threads", "1",
+                      "--stdin"});
+  const std::string request = R"({"id": 1, "op": "spread", "seeds": [3]})";
+  for (int round = 0; round < 40; ++round) {
+    ASSERT_NE(serve.Ask(request).find("\"status\":\"ok\""), std::string::npos);
+    serve.Signal(SIGHUP);
+    ASSERT_NE(serve.AwaitStderr("snapshot reloaded", std::chrono::seconds(5)),
+              "")
+        << "no reload within 5 s of the signal in round " << round;
+  }
   EXPECT_EQ(serve.Finish(), 0);
   std::remove(path.c_str());
 }

@@ -1,6 +1,8 @@
 // Robustness "fuzz" sweeps: the parsers must reject (never crash on)
 // arbitrary malformed input — random bytes, random printable text, and
-// systematically mutated valid payloads.
+// systematically mutated valid payloads: snapshots, edge lists, and the
+// request lines of the golden serve fixtures (SOI_GOLDEN_DIR, a compile
+// definition from tests/CMakeLists.txt).
 
 #include <cstdio>
 #include <cstring>
@@ -19,6 +21,8 @@
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
 #include "infmax/sketch_oracle.h"
+#include "service/engine.h"
+#include "service/protocol.h"
 #include "snapshot/format.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
@@ -184,6 +188,82 @@ std::string LinesOutside(const std::string& probe, const WorldDamage& damage) {
   return out;
 }
 
+// The request lines of both golden serve fixtures.
+std::vector<std::string> GoldenRequestLines() {
+  std::vector<std::string> lines;
+  for (const char* name : {"serve.requests.jsonl", "serve_v2.requests.jsonl"}) {
+    std::ifstream in(std::string(SOI_GOLDEN_DIR) + "/" + name);
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty()) lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+// One structure-aware edit of a request line; `lines` supplies splices.
+void MutateRequestLine(const std::vector<std::string>& lines, Rng* rng,
+                       std::string* line) {
+  const auto at = [&] { return rng->NextBounded(line->size() + 1); };
+  switch (rng->NextBounded(6)) {
+    case 0:  // flip one byte
+      if (!line->empty()) {
+        const size_t pos = rng->NextBounded(line->size());
+        (*line)[pos] = static_cast<char>((*line)[pos] ^
+                                         (1 + rng->NextBounded(255)));
+      }
+      break;
+    case 1: {  // splice: this line's head, another line's tail
+      const std::string& other = lines[rng->NextBounded(lines.size())];
+      *line = line->substr(0, at()) +
+              other.substr(rng->NextBounded(other.size() + 1));
+      break;
+    }
+    case 2:  // a run of '[' or '{' up to 100,000 long
+      line->insert(at(), 1 + rng->NextBounded(100000),
+                   rng->NextBounded(2) == 0 ? '[' : '{');
+      break;
+    case 3: {  // up to 400 digits, maybe a fraction, maybe an exponent
+      std::string number(1 + rng->NextBounded(400), '0');
+      for (char& c : number) c = static_cast<char>('0' + rng->NextBounded(10));
+      if (rng->NextBounded(2) == 0) {
+        number.insert(rng->NextBounded(number.size() + 1), ".");
+      }
+      if (rng->NextBounded(2) == 0) {
+        number += rng->NextBounded(2) == 0 ? "e-" : "e";
+        number += std::to_string(rng->NextBounded(1000));
+      }
+      line->insert(at(), number);
+      break;
+    }
+    case 4: {  // a backslash escape just inside a key or string value
+      static constexpr const char* kEscapes[] = {
+          R"(\")", R"(\\)", R"(\/)", R"(\b)", R"(\n)", R"(\u0069)",
+          R"(\u00e9)", R"(\u20ac)", R"(\u12)", R"(\q)", R"(\)"};
+      const size_t quote = line->find('"', at());
+      if (quote != std::string::npos) {
+        line->insert(quote + 1, kEscapes[rng->NextBounded(11)]);
+      }
+      break;
+    }
+    default: {  // repeat one "key":value member before the closing brace
+      const size_t key = line->find('"', at());
+      const size_t end = line->find_first_of(",}", key);
+      const size_t close = line->rfind('}');
+      if (key != std::string::npos && end != std::string::npos &&
+          close != std::string::npos && close > end) {
+        line->insert(close, "," + line->substr(key, end - key));
+      }
+    }
+  }
+}
+
+// The wire answer of a frozen-clock engine to a parsed request.
+std::string Answer(service::Engine* engine,
+                   const service::ProtocolRequest& request) {
+  return service::FormatResponseLine(request.id, request.version,
+                                     engine->Run(request.request));
+}
+
 class FuzzSweep : public ::testing::TestWithParam<int> {};
 
 // The index deserializer is Snapshot::Open (+ MakeIndex): the one on-disk
@@ -291,6 +371,62 @@ TEST_P(FuzzSweep, EdgeListParserHandlesHostileNumbers) {
     const auto result = ParseEdgeList(text);
     EXPECT_FALSE(result.ok()) << "accepted: " << text;
   }
+}
+
+// Mutants of the golden request lines through the request parser: the
+// same outcome in a dirty reused slot as in a fresh one, every accepted
+// request answered by the engine, and salvage returning on every line.
+// Nesting runs longer than any stack can follow are among the mutants.
+TEST_P(FuzzSweep, RequestParserNeverCrashesOnMutatedLines) {
+  const std::vector<std::string> golden = GoldenRequestLines();
+  ASSERT_EQ(golden.size(), 21u);
+  Rng gen_rng(6000 + GetParam());
+  auto topo = GenerateErdosRenyi(24, 72, false, &gen_rng);
+  ASSERT_TRUE(topo.ok());
+  auto graph = AssignUniform(*topo, &gen_rng, 0.1, 0.5);
+  ASSERT_TRUE(graph.ok());
+  service::EngineOptions options;
+  options.index.num_worlds = 8;
+  options.sketch_k = 8;
+  options.clock_ns = [] { return uint64_t{0}; };
+  auto engine = service::Engine::Create(std::move(graph).value(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  Rng rng(7000 + GetParam());
+  service::ProtocolRequest reused;
+  int accepted = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string line = golden[rng.NextBounded(golden.size())];
+    for (uint64_t edits = 1 + rng.NextBounded(3); edits > 0; --edits) {
+      MutateRequestLine(golden, &rng, &line);
+    }
+    const std::string excerpt = line.substr(0, 200);
+    service::ProtocolRequest fresh;
+    const Status into = service::ParseRequestLineInto(line, &reused);
+    const Status from_fresh = service::ParseRequestLineInto(line, &fresh);
+    ASSERT_EQ(into.ToString(), from_fresh.ToString()) << excerpt;
+    const int version = service::SalvageVersion(line);
+    EXPECT_TRUE(version == 1 || version == 2) << excerpt;
+    service::SalvageId(line);
+    if (!into.ok()) continue;
+    ++accepted;
+    EXPECT_EQ(reused.request.timeout_ms, fresh.request.timeout_ms) << excerpt;
+    EXPECT_EQ(reused.request.max_error, fresh.request.max_error) << excerpt;
+    EXPECT_EQ(Answer(&*engine, reused), Answer(&*engine, fresh)) << excerpt;
+    const auto* ops = std::get_if<service::UpdateRequest>(&reused.request.payload);
+    if (ops != nullptr) {
+      const auto& want =
+          std::get<service::UpdateRequest>(fresh.request.payload).ops;
+      ASSERT_EQ(ops->ops.size(), want.size()) << excerpt;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(ops->ops[i].kind, want[i].kind) << excerpt;
+        EXPECT_EQ(ops->ops[i].src, want[i].src) << excerpt;
+        EXPECT_EQ(ops->ops[i].dst, want[i].dst) << excerpt;
+        EXPECT_EQ(ops->ops[i].prob, want[i].prob) << excerpt;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 6));

@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gen/generators.h"
-#include "graph/prob_assign.h"
 #include "infmax/cover_engine.h"
-#include "infmax/rrset.h"
 #include "util/arena.h"
 #include "util/flat_sets.h"
 #include "util/packed_runs.h"
@@ -276,33 +273,6 @@ TEST(FlatSetsPackedTest, CoverEngineSelectionsMatchAcrossEncodings) {
   EXPECT_EQ(ba.seeds, bb.seeds);
   EXPECT_EQ(ba.covered_value, bb.covered_value);
   EXPECT_EQ(ba.total_cost, bb.total_cost);
-}
-
-TEST(FlatSetsPackedTest, PackedRrCollectionMatchesRaw) {
-  Rng gen_rng(99);
-  auto topo = GenerateErdosRenyi(512, 2048, false, &gen_rng);
-  ASSERT_TRUE(topo.ok());
-  Rng assign_rng(100);
-  auto g = AssignUniform(*topo, &assign_rng, 0.05, 0.3);
-  ASSERT_TRUE(g.ok());
-  const ProbGraph& graph = *g;
-  Rng rng_a(5), rng_b(5);
-  const auto raw = RrCollection::Sample(graph, 400, &rng_a);
-  const auto packed =
-      RrCollection::Sample(graph, 400, &rng_b, /*pack_sets=*/true);
-  ASSERT_TRUE(raw.ok() && packed.ok());
-  EXPECT_FALSE(raw->packed());
-  EXPECT_TRUE(packed->packed());
-  EXPECT_EQ(packed->sets(), raw->sets());
-  EXPECT_EQ(packed->inverted(), raw->inverted());
-  EXPECT_LT(packed->ApproxBytes(), raw->ApproxBytes());
-
-  const auto seeds_raw = raw->SelectSeeds(10);
-  const auto seeds_packed = packed->SelectSeeds(10);
-  ASSERT_TRUE(seeds_raw.ok() && seeds_packed.ok());
-  EXPECT_EQ(seeds_raw->seeds, seeds_packed->seeds);
-  EXPECT_EQ(raw->EstimateSpread(seeds_raw->seeds),
-            packed->EstimateSpread(seeds_packed->seeds));
 }
 
 TEST(BumpArenaTest, AllocatesAlignedAndResets) {

@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1244,10 +1246,11 @@ TEST(SalvageTest, VersionRequiresIntegerTwo) {
   EXPECT_EQ(SalvageVersion("{\"op\":oops}"), 1);
 }
 
-// Every line in this corpus must behave identically through the in-situ
-// parser and the canonical allocating parser: same accept/reject decision,
-// byte-identical error messages, and — for accepted lines — identical
-// engine responses and envelope fields.
+// The request corpus pinned to the outcomes the two-parser protocol (a DOM
+// parser behind an in-situ fast path) gave, recorded once from it: the
+// parse error's Status text, or the wire response of a frozen-clock engine.
+// The one scanner must reproduce each, parsing into a dirty reused slot and
+// into a fresh one alike.
 TEST(ParseIntoTest, MatchesCanonicalParserAcrossCorpus) {
   EngineOptions options;
   options.sketch_k = 16;
@@ -1255,40 +1258,140 @@ TEST(ParseIntoTest, MatchesCanonicalParserAcrossCorpus) {
   // byte-comparable.
   options.clock_ns = [] { return uint64_t{0}; };
   Engine engine = MakeEngine(PaperExampleGraph(), options);
-  const char* corpus[] = {
-      "{\"op\":\"spread\",\"seeds\":[4],\"id\":1}",
-      "{\"op\":\"typical\",\"seeds\":[4,0,1],\"local_search\":true,\"id\":2}",
-      "{\"op\":\"cascade\",\"seeds\":[4],\"world\":3,\"id\":4}",
-      "{\"op\":\"seed_select\",\"k\":2,\"method\":\"std\",\"id\":5}",
-      "{\"op\":\"seed_select\",\"k\":2,\"id\":51}",
-      "{\"op\":\"reliability\",\"seeds\":[4],\"threshold\":0.25,\"id\":6}",
-      "{\"v\":2,\"op\":\"spread\",\"seeds\":[4],\"accuracy\":\"sketch\","
-      "\"id\":7}",
-      "{\"v\":2,\"op\":\"spread\",\"seeds\":[4],\"accuracy\":\"auto\","
-      "\"max_error\":0.5,\"id\":8}",
-      "{ \"op\" : \"spread\" , \"seeds\" : [ 4 ] , \"id\" : 9 }",
-      "{\"id\":10,\"timeout_ms\":1000,\"op\":\"spread\",\"seeds\":[4]}",
-      "{\"op\":\"update\",\"ops\":[{\"op\":\"insert\",\"src\":0,\"dst\":1,"
-      "\"prob\":0.5}],\"id\":11}",
-      // Escapes force the canonical fallback; the result must still match.
-      "{\"op\":\"seed_select\",\"k\":1,\"method\":\"t\\u0063\",\"id\":13}",
-      // Duplicate keys: the canonical reader honors the first occurrence.
-      "{\"op\":\"spread\",\"seeds\":[4],\"id\":1,\"id\":2}",
-      // Unknown fields are ignored by the canonical reader.
-      "{\"op\":\"spread\",\"seeds\":[4],\"extra\":3,\"id\":12}",
-      // Error corpus: messages must be byte-identical to the canonical ones.
-      "garbage",
-      "{\"op\":\"spread\",\"seeds\":[4]",
-      "{\"op\":\"bogus\",\"seeds\":[4]}",
-      "{\"op\":\"spread\"}",
-      "{\"op\":\"spread\",\"seeds\":[-1]}",
-      "{\"op\":\"spread\",\"seeds\":[4],\"accuracy\":\"sketch\"}",
-      "{\"v\":3,\"op\":\"spread\",\"seeds\":[4]}",
-      "{\"op\":\"spread\",\"seeds\":[4],\"id\":1.5}",
-      "{\"op\":\"spread\",\"seeds\":[4],\"id\":true}",
-      "{\"op\":\"spread\",\"seeds\":[4.5]}",
-      "{\"op\":\"spread\",\"seeds\":[4],\"threshold\":.5}",
-      "{\"op\":\"spread\",\"seeds\":[4]}trailing",
+  struct Case {
+    const char* line;
+    const char* outcome;
+  };
+  const Case corpus[] = {
+      // Accepted: every op, both envelopes, spacing, escapes, and unknown
+      // and duplicate keys (the first occurrence wins).
+      {R"({"op":"spread","seeds":[4],"id":1})",
+       R"({"id":1,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"op":"typical","seeds":[4,0,1],"local_search":true,"id":2})",
+       R"({"id":2,"status":"ok","op":"typical","cascade":[0,1,4],"in_sample_)"
+       R"(cost":0.16640625,"mean_sample_size":3.71875})"},
+      {R"({"op":"cascade","seeds":[4],"world":3,"id":4})",
+       R"({"id":4,"status":"ok","op":"cascade","cascade":[0,3,4]})"},
+      {R"({"op":"seed_select","k":2,"method":"std","id":5})",
+       R"({"id":5,"status":"ok","op":"seed_select","seeds":[4,3],"objective")"
+       R"(:3.921875})"},
+      {R"({"op":"seed_select","k":2,"id":51})",
+       R"({"id":51,"status":"ok","op":"seed_select","seeds":[4,2],"objective)"
+       R"(":4})"},
+      {R"({"op":"reliability","seeds":[4],"threshold":0.25,"id":6})",
+       R"({"id":6,"status":"ok","op":"reliability","nodes":[0,1,3,4]})"},
+      {R"({"v":2,"op":"spread","seeds":[4],"accuracy":"sketch","id":7})",
+       R"({"id":7,"status":"ok","op":"spread","spread":2.8203125,"tier":"ske)"
+       R"(tch","est_error":0.2672612419,"elapsed_us":0})"},
+      {R"({"v":2,"op":"spread","seeds":[4],"accuracy":"auto","max_error":0.5,)"
+       R"("id":8})",
+       R"({"id":8,"status":"ok","op":"spread","spread":2.8203125,"tier":"exa)"
+       R"(ct","est_error":0,"elapsed_us":0})"},
+      {R"({ "op" : "spread" , "seeds" : [ 4 ] , "id" : 9 })",
+       R"({"id":9,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"id":10,"timeout_ms":1000,"op":"spread","seeds":[4]})",
+       R"({"id":10,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"op":"update","ops":[{"op":"insert","src":0,"dst":1,"prob":0.5}],")"
+       R"(id":11})",
+       R"({"id":11,"status":"failed_precondition","error":"update requires a)"
+       R"( dynamic engine (soi_cli serve --dynamic / Engine::CreateDynamic);)"
+       R"( this engine serves a static index"})"},
+      {R"({"op":"seed_select","k":1,"method":"t\u0063","id":13})",
+       R"({"id":13,"status":"ok","op":"seed_select","seeds":[4],"objective":)"
+       R"(3})"},
+      {R"({"op":"spread","seeds":[4],"id":1,"id":2})",
+       R"({"id":1,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"op":"spread","seeds":[4],"extra":3,"id":12})",
+       R"({"id":12,"status":"ok","op":"spread","spread":2.8203125})"},
+      // Errors, syntax before schema, each with its message.
+      {R"(garbage)",
+       R"(InvalidArgument: unexpected character 'g' in JSON)"},
+      {R"({"op":"spread","seeds":[4])",
+       R"(InvalidArgument: expected ',' or '}' in JSON object)"},
+      {R"({"op":"bogus","seeds":[4]})",
+       R"(InvalidArgument: unknown op "bogus" (expected typical|cascade|spre)"
+       R"(ad|seed_select|reliability|update))"},
+      {R"({"op":"spread"})",
+       R"(InvalidArgument: missing required field "seeds" (array of node ids)"
+       R"())"},
+      {R"({"op":"spread","seeds":[-1]})",
+       R"(InvalidArgument: "seeds" entries must be non-negative 32-bit node )"
+       R"(ids)"},
+      {R"({"op":"spread","seeds":[4],"accuracy":"sketch"})",
+       R"(InvalidArgument: "accuracy"/"max_error" require the v2 envelope; a)"
+       R"(dd "v":2 to the request)"},
+      {R"({"v":3,"op":"spread","seeds":[4]})",
+       R"(InvalidArgument: unsupported protocol version "v":3 (this server s)"
+       R"(peaks v1 and v2))"},
+      {R"({"op":"spread","seeds":[4],"id":1.5})",
+       R"(InvalidArgument: field "id" must be an integer)"},
+      {R"({"op":"spread","seeds":[4],"id":true})",
+       R"(InvalidArgument: field "id" must be an integer)"},
+      {R"({"op":"spread","seeds":[4.5]})",
+       R"(InvalidArgument: "seeds" entries must be non-negative 32-bit node )"
+       R"(ids)"},
+      {R"({"op":"spread","seeds":[4],"threshold":.5})",
+       R"(InvalidArgument: unexpected character '.' in JSON)"},
+      {R"({"op":"spread","seeds":[4]}trailing)",
+       R"(InvalidArgument: trailing characters after JSON value)"},
+      // Escaped keys and values, nested unknown values, the number forms
+      // strtod reads, a duplicate key inside an "ops" entry, truncated
+      // literals, bad escapes and bad numbers.
+      {R"({"op":"spread","seeds":[4],"\u0069d":14})",
+       R"({"id":14,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"op":"spread","seeds":[4],"extra":{"a":[1,{"id":99,"b":null}],"c":)"
+       R"("x"},"id":15})",
+       R"({"id":15,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"op":"reliability","seeds":[4],"threshold":-.5,"id":16})",
+       R"({"id":16,"status":"invalid_argument","error":"threshold must be in)"
+       R"( [0, 1]"})"},
+      {R"({"op":"reliability","seeds":[4],"threshold":1e999,"id":17})",
+       R"({"id":17,"status":"invalid_argument","error":"threshold must be in)"
+       R"( [0, 1]"})"},
+      {R"({"op":"spread","seeds":[1.0,2e0,-0],"id":18})",
+       R"({"id":18,"status":"ok","op":"spread","spread":3})"},
+      {R"({"op":"update","ops":[{"op":"delete","src":0,"dst":1,"op":"insert",)"
+       R"("src":-1}],"id":19})",
+       R"({"id":19,"status":"failed_precondition","error":"update requires a)"
+       R"( dynamic engine (soi_cli serve --dynamic / Engine::CreateDynamic);)"
+       R"( this engine serves a static index"})"},
+      {R"({"op":"spre\u0061d","seeds":[4],"id":20})",
+       R"({"id":20,"status":"ok","op":"spread","spread":2.8203125})"},
+      {R"({"v":2,"op":"spread","seeds":[4],"accuracy":"sketch\u0041","id":21})",
+       R"(InvalidArgument: unknown accuracy "sketchA" (expected exact|sketch)"
+       R"(|auto))"},
+      {R"({"op":"seed_select","k":2e0,"id":3e1})",
+       R"({"id":30,"status":"ok","op":"seed_select","seeds":[4,2],"objective)"
+       R"(":4})"},
+      {R"({"op":"cascade","seeds":[4],"world":3.0,"id":22})",
+       R"({"id":22,"status":"ok","op":"cascade","cascade":[0,3,4]})"},
+      {R"({"op":"spread","seeds":[4],"id":23,"x":tru})",
+       R"(InvalidArgument: bad literal in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":24,"x":nul)",
+       R"(InvalidArgument: bad literal in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":25,"x":f})",
+       R"(InvalidArgument: bad literal in JSON)"},
+      {R"({"op":"spr\ead","seeds":[4],"id":26})",
+       R"(InvalidArgument: bad escape in JSON string)"},
+      {R"({"op":"spread","seeds":[4],"id":27,"x":"\u00g0"})",
+       R"(InvalidArgument: bad \u escape in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":28,"x":"\u00)",
+       R"(InvalidArgument: truncated \u escape in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":29,"x":"abc\)",
+       R"(InvalidArgument: unterminated JSON string)"},
+      {R"({"op":"spread","seeds":[4],"id":30,"x":1e})",
+       R"(InvalidArgument: bad number '1e' in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":31,"x":[1,]})",
+       R"(InvalidArgument: unexpected character ']' in JSON)"},
+      {R"({"op":"spread","seeds":[4],"id":32,"x":{"a" 1}})",
+       R"(InvalidArgument: expected ':' in JSON object)"},
+  };
+  const auto outcome_of = [&](const Status& status, const ProtocolRequest& r) {
+    if (!status.ok()) return status.ToString();
+    std::string line =
+        FormatResponseLine(r.id, r.version, engine.Run(r.request));
+    line.pop_back();  // '\n'
+    return line;
   };
   // The reused slot starts dirty — parsed from a request whose every field
   // differs from the corpus lines — so the test also proves reuse leaves no
@@ -1299,29 +1402,88 @@ TEST(ParseIntoTest, MatchesCanonicalParserAcrossCorpus) {
                   "\"local_search\":true,\"timeout_ms\":9999,\"id\":-5}",
                   &reused)
                   .ok());
-  for (const char* line : corpus) {
-    SCOPED_TRACE(line);
-    Result<ProtocolRequest> canonical = ParseRequestLine(line);
-    const Status into_status = ParseRequestLineInto(line, &reused);
-    ASSERT_EQ(canonical.ok(), into_status.ok());
-    if (!canonical.ok()) {
-      EXPECT_EQ(canonical.status().ToString(), into_status.ToString());
-      continue;
-    }
-    EXPECT_EQ(canonical->id, reused.id);
-    EXPECT_EQ(canonical->version, reused.version);
-    EXPECT_EQ(canonical->request.timeout_ms, reused.request.timeout_ms);
-    EXPECT_EQ(static_cast<int>(canonical->request.accuracy),
-              static_cast<int>(reused.request.accuracy));
-    EXPECT_EQ(canonical->request.max_error, reused.request.max_error);
-    // Identical wire responses through a deterministic engine == identical
-    // payloads, without enumerating every variant alternative here.
-    const std::string from_canonical = FormatResponseLine(
-        canonical->id, canonical->version, engine.Run(canonical->request));
-    const std::string from_into = FormatResponseLine(
-        reused.id, reused.version, engine.Run(reused.request));
-    EXPECT_EQ(from_canonical, from_into);
+  for (const Case& c : corpus) {
+    SCOPED_TRACE(c.line);
+    const Status into = ParseRequestLineInto(c.line, &reused);
+    EXPECT_EQ(outcome_of(into, reused), c.outcome);
+    ProtocolRequest fresh;
+    const Status from_fresh = ParseRequestLineInto(c.line, &fresh);
+    EXPECT_EQ(outcome_of(from_fresh, fresh), c.outcome);
+    if (!into.ok() || !from_fresh.ok()) continue;
+    EXPECT_EQ(fresh.request.timeout_ms, reused.request.timeout_ms);
+    EXPECT_EQ(fresh.request.accuracy, reused.request.accuracy);
+    EXPECT_EQ(fresh.request.max_error, reused.request.max_error);
   }
+}
+
+// Nesting deeper than the cap is an error at the cap, whatever the depth:
+// the scan's recursion never follows the line down.
+TEST(ParseIntoTest, NestingPastTheCapIsAnErrorNotACrash) {
+  const std::string deep(100000, '[');
+  for (const std::string& line :
+       {deep, R"({"op":"spread","seeds":[4],"x":)" + deep + "]}"}) {
+    const auto parsed = ParseRequestLine(line);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().ToString(),
+              "InvalidArgument: JSON nesting deeper than 64 levels");
+  }
+  // The request object is level 1: 63 more levels parse, 64 do not.
+  const auto nested = [](int levels) {
+    return R"({"op":"spread","seeds":[4],"x":)" + std::string(levels, '[') +
+           std::string(levels, ']') + "}";
+  };
+  EXPECT_TRUE(ParseRequestLine(nested(63)).ok());
+  EXPECT_FALSE(ParseRequestLine(nested(64)).ok());
+}
+
+// Integer fields hold int64 values: a token outside int64, plain or with an
+// exponent, is refused with the field's integer error and never cast.
+TEST(ParseIntoTest, IntegersOutsideInt64AreRefusedNotCast) {
+  for (const std::string value : {"1e300", "-1e19", "99999999999999999999"}) {
+    SCOPED_TRACE(value);
+    const std::pair<std::string, std::string> cases[] = {
+        {"id", R"({"op":"spread","seeds":[4],"id":)" + value + "}"},
+        {"world", R"({"op":"cascade","seeds":[4],"world":)" + value + "}"},
+        {"k", R"({"op":"seed_select","k":)" + value + "}"},
+        {"src", R"({"op":"update","ops":[{"op":"delete","src":)" + value +
+                    R"(,"dst":1}]})"},
+    };
+    for (const auto& [field, line] : cases) {
+      const auto parsed = ParseRequestLine(line);
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.status().ToString(),
+                "InvalidArgument: field \"" + field + "\" must be an integer");
+    }
+  }
+  // int64's own bounds, and an integral exponent form inside them, parse.
+  for (const auto& [token, id] :
+       {std::pair<std::string, int64_t>{"-9223372036854775808", INT64_MIN},
+        {"9223372036854775807", INT64_MAX},
+        {"9.2e18", 9200000000000000000}}) {
+    const auto parsed =
+        ParseRequestLine(R"({"op":"spread","seeds":[4],"id":)" + token + "}");
+    ASSERT_TRUE(parsed.ok()) << token;
+    EXPECT_EQ(parsed->id, id);
+  }
+}
+
+// A plain integer id is read exactly, so it is echoed the same whatever
+// other keys share its line.
+TEST(ServeStreamTest, LargeIdEchoesTheSameWithAnUnknownKey) {
+  Engine engine = MakeEngine(PaperExampleGraph());
+  const std::vector<std::string> lines = SplitLines(ServeOnce(
+      &engine,
+      "{\"op\":\"spread\",\"seeds\":[4],\"id\":9007199254740993}\n"
+      "{\"op\":\"spread\",\"seeds\":[4],\"x\":0,\"id\":9007199254740993}\n"
+      "{\"op\":\"spread\",\"seeds\":[4],\"id\":1e300}\n"));
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].rfind("{\"id\":9007199254740993,\"status\":\"ok\"", 0),
+            0u)
+      << lines[0];
+  EXPECT_EQ(lines[1], lines[0]);
+  EXPECT_NE(lines[2].find("\"status\":\"invalid_argument\""),
+            std::string::npos)
+      << lines[2];
 }
 
 TEST(LineGuardTest, OversizedLineGetsInOrderErrorAndResyncs) {
@@ -1537,6 +1699,46 @@ TEST(ServeTcpTest, SurvivesTornLinesGarbageAndOversizedLines) {
       << lines[4];
   EXPECT_NE(lines[4].find("max_line_bytes=128"), std::string::npos);
   EXPECT_EQ(lines[5].rfind("{\"id\":6,\"status\":\"ok\"", 0), 0u);
+}
+
+// A line nested 100,000 deep, alone or inside an unknown key, is answered
+// with an invalid_argument line, and the next line is served: over a pipe
+// and over TCP alike.
+TEST(ServeTcpTest, DeeplyNestedLinesAreAnsweredOverPipeAndTcp) {
+  Engine engine = MakeEngine(PaperExampleGraph());
+  const std::string deep(100000, '[');
+  const std::string input = deep + "\n" +
+                            R"({"id":7,"op":"spread","x":)" + deep + "\n" +
+                            R"({"op":"spread","seeds":[4],"id":8})" + "\n";
+  const std::string piped = ServeOnce(&engine, input);
+
+  std::promise<uint16_t> port_promise;
+  std::future<uint16_t> port_future = port_promise.get_future();
+  ServeOptions options;
+  options.max_connections = 1;
+  options.on_listening = [&](uint16_t port) { port_promise.set_value(port); };
+  std::thread server([&] {
+    const Status status = ServeTcp(&engine, /*port=*/0, options);
+    SOI_CHECK(status.ok());
+  });
+  const int fd = tcp::Connect(port_future.get());
+  tcp::WriteAll(fd, input);
+  ::shutdown(fd, SHUT_WR);
+  const std::string over_tcp = tcp::ReadUntilEof(fd);
+  ::close(fd);
+  server.join();
+
+  for (const std::string& output : {piped, over_tcp}) {
+    const std::vector<std::string> lines = SplitLines(output);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[0],
+              R"({"id":-1,"status":"invalid_argument",)"
+              R"("error":"JSON nesting deeper than 64 levels"})");
+    EXPECT_EQ(lines[1],
+              R"({"id":7,"status":"invalid_argument",)"
+              R"("error":"JSON nesting deeper than 64 levels"})");
+    EXPECT_EQ(lines[2].rfind(R"({"id":8,"status":"ok")", 0), 0u) << lines[2];
+  }
 }
 
 // Cross-connection batching with a window: requests from separate

@@ -912,12 +912,16 @@ Result<service::Engine> EngineFromSnapshot(
   return service::Engine::FromParts(std::move(parts), options);
 }
 
-// SIGHUP requests a snapshot reload. The handler only sets a flag (installed
-// without SA_RESTART so a blocking read wakes with EINTR); the serve loop's
-// poll hook does the actual Open + Swap from normal context.
+// SIGHUP requests a snapshot reload. The handler sets a flag and wakes the
+// serve loop, which may be busy or on another thread when the signal lands
+// (installed without SA_RESTART, so a blocking read wakes with EINTR too);
+// the loop's poll hook does the actual Open + Swap from normal context.
 volatile std::sig_atomic_t g_reload_requested = 0;
 
-void HandleSighup(int) { g_reload_requested = 1; }
+void HandleSighup(int) {
+  g_reload_requested = 1;
+  service::WakeServeLoops();
+}
 
 // Builds the engine once, then serves the line-JSON protocol until the
 // client goes away (EOF on stdin, or --max-connections TCP clients).
