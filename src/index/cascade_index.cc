@@ -514,70 +514,79 @@ void CascadeIndex::CascadeInto(std::span<const NodeId> seeds, uint32_t i,
                                Workspace* ws, std::vector<NodeId>* out) const {
   // Precondition (debug-checked): seeds/world validated by the caller.
   const Condensation& cond = world(i);
-  if (tiers_[i] == WorldTier::kMaterialized) {
+  if (tiers_[i] == WorldTier::kMaterialized && seeds.size() == 1) {
     SOI_DCHECK(prepared(i));
-    const ReachabilityClosure& cl = closures_[i];
-    if (seeds.size() == 1) {
-      SOI_DCHECK(seeds[0] < num_nodes_);
-      const auto run = cl.Cascade(cond.ComponentOf(seeds[0]));
-      out->insert(out->end(), run.begin(), run.end());
-      return;
-    }
-    ws->Prepare(cond.num_components());
-    for (NodeId s : seeds) {
-      SOI_DCHECK(s < num_nodes_);
-      for (uint32_t x : cl.Closure(cond.ComponentOf(s))) {
-        if (ws->stamp_[x] != ws->stamp_id_) {
-          ws->stamp_[x] = ws->stamp_id_;
-          ws->comps_.push_back(x);
-        }
-      }
-    }
-    std::sort(ws->comps_.begin(), ws->comps_.end());
-    MergeComponentMemberRuns(cond, ws->comps_, &ws->merge_, out);
+    SOI_DCHECK(seeds[0] < num_nodes_);
+    const auto run = closures_[i].Cascade(cond.ComponentOf(seeds[0]));
+    out->insert(out->end(), run.begin(), run.end());
     return;
   }
+  // Every other cascade is assembled one way: mark the members of each
+  // reached component once in the node bitmap, then drain it ascending.
+  // That is the exact run the materialized tier stores. Components
+  // [lo, hi] own the contiguous slice members[mo[lo], mo[hi + 1]).
+  ws->marks_.Reserve(num_nodes_);
+  const auto mo = cond.members_offsets();
+  const auto members = cond.members_targets();
+  uint64_t marked = 0;
+  const auto mark_components = [&](uint32_t lo, uint32_t hi) {
+    for (uint32_t k = mo[lo]; k < mo[hi + 1]; ++k) ws->marks_.Mark(members[k]);
+    marked += mo[hi + 1] - mo[lo];
+  };
   if (tiers_[i] == WorldTier::kLabels) {
-    // Expanding the intervals streams closure component ids; the member-run
-    // merge then produces the exact cascade run the materialized tier would
-    // have returned from storage.
+    // A label's intervals are disjoint, so one seed marks them as they
+    // come; several seeds mark the union of all their intervals.
     const ReachLabels& lab = labels_[i];
-    ws->Prepare(cond.num_components());
     if (seeds.size() == 1) {
       SOI_DCHECK(seeds[0] < num_nodes_);
-      lab.AppendClosure(cond.ComponentOf(seeds[0]), &ws->comps_);
-      MergeComponentMemberRuns(cond, ws->comps_, &ws->merge_, out);
-      return;
+      const auto b = lab.Bounds(cond.ComponentOf(seeds[0]));
+      for (size_t k = 0; k < b.size(); k += 2) mark_components(b[k], b[k + 1]);
+    } else {
+      auto& intervals = ws->intervals_;
+      intervals.clear();
+      for (NodeId s : seeds) {
+        SOI_DCHECK(s < num_nodes_);
+        const auto b = lab.Bounds(cond.ComponentOf(s));
+        for (size_t k = 0; k < b.size(); k += 2) {
+          intervals.emplace_back(b[k], b[k + 1]);
+        }
+      }
+      std::sort(intervals.begin(), intervals.end());
+      for (size_t k = 0; k < intervals.size();) {
+        const uint32_t lo = intervals[k].first;
+        uint32_t hi = intervals[k].second;
+        for (++k; k < intervals.size() && intervals[k].first <= hi; ++k) {
+          hi = std::max(hi, intervals[k].second);
+        }
+        mark_components(lo, hi);
+      }
     }
-    for (NodeId s : seeds) {
-      SOI_DCHECK(s < num_nodes_);
-      const auto b = lab.Bounds(cond.ComponentOf(s));
-      for (size_t k = 0; k < b.size(); k += 2) {
-        for (uint32_t x = b[k]; x <= b[k + 1]; ++x) {
+  } else {
+    // Several seeds on a materialized world: the stamped union of their
+    // closure lists. Traversal: a stamped DFS over the condensation DAG.
+    ws->Prepare(cond.num_components());
+    if (tiers_[i] == WorldTier::kMaterialized) {
+      SOI_DCHECK(prepared(i));
+      const ReachabilityClosure& cl = closures_[i];
+      for (NodeId s : seeds) {
+        SOI_DCHECK(s < num_nodes_);
+        for (uint32_t x : cl.Closure(cond.ComponentOf(s))) {
           if (ws->stamp_[x] != ws->stamp_id_) {
             ws->stamp_[x] = ws->stamp_id_;
-            ws->comps_.push_back(x);
+            mark_components(x, x);
           }
         }
       }
+    } else {
+      for (NodeId s : seeds) {
+        SOI_DCHECK(s < num_nodes_);
+        ReachableComponents(cond, cond.ComponentOf(s), &ws->stamp_,
+                            ws->stamp_id_, &ws->comps_);
+      }
+      for (uint32_t c : ws->comps_) mark_components(c, c);
     }
-    std::sort(ws->comps_.begin(), ws->comps_.end());
-    MergeComponentMemberRuns(cond, ws->comps_, &ws->merge_, out);
-    return;
   }
-  // Traversal fallback: DFS over the condensation DAG, gather, sort.
-  ws->Prepare(cond.num_components());
-  for (NodeId s : seeds) {
-    SOI_DCHECK(s < num_nodes_);
-    ReachableComponents(cond, cond.ComponentOf(s), &ws->stamp_, ws->stamp_id_,
-                        &ws->comps_);
-  }
-  const size_t base = out->size();
-  for (uint32_t c : ws->comps_) {
-    const auto members = cond.ComponentMembers(c);
-    out->insert(out->end(), members.begin(), members.end());
-  }
-  std::sort(out->begin() + base, out->end());
+  ws->marks_.DrainAppend(marked, out);
 }
 
 Result<std::vector<NodeId>> CascadeIndex::Cascade(std::span<const NodeId> seeds,

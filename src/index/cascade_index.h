@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/prob_graph.h"
@@ -11,6 +12,7 @@
 #include "scc/condensation.h"
 #include "scc/labels.h"
 #include "scc/transitive.h"
+#include "util/bitvector.h"
 #include "util/flat_sets.h"
 #include "util/once_table.h"
 #include "util/rng.h"
@@ -136,8 +138,9 @@ struct CascadeIndexStats {
 ///    (CachedCascade), a size query an offset subtraction.
 ///  - kLabels (scc/labels.h): succinct interval labels over the
 ///    reverse-topological id order. Size queries stay O(1)
-///    (precomputed reach_nodes); enumeration expands the intervals and
-///    merges member runs — nothing the size of a closure is ever stored.
+///    (precomputed reach_nodes); enumeration marks each interval's slice
+///    of the members array in a node bitmap and drains it ascending —
+///    nothing the size of a closure is ever stored.
 ///  - kTraversal: per-query DAG traversal, zero retained bytes.
 ///
 /// Query results are byte-identical across tiers and thread counts; the
@@ -145,6 +148,9 @@ struct CascadeIndexStats {
 class CascadeIndex {
  public:
   /// Reusable per-thread scratch for cascade queries; sized on first use.
+  /// Every cascade that is not a materialized single-source span is
+  /// assembled through its node bitmap: the members of each reached
+  /// component are marked once, then drained in ascending order.
   class Workspace {
    public:
     Workspace() = default;
@@ -156,7 +162,9 @@ class CascadeIndex {
     std::vector<uint32_t> stamp_;
     uint32_t stamp_id_ = 0;
     std::vector<uint32_t> comps_;
-    RunMergeScratch merge_;  // k-way member-run merge scratch
+    // Labels-tier multi-seed interval union.
+    std::vector<std::pair<uint32_t, uint32_t>> intervals_;
+    SortedIdMarks marks_;  // node bitmap every assembled cascade drains
   };
 
   /// Flat reusable arena for batches of extracted cascades: one contiguous

@@ -38,10 +38,7 @@ Status ValidateSets(std::span<const std::span<const NodeId>> sets,
 }  // namespace
 
 JaccardMedianSolver::JaccardMedianSolver(NodeId universe)
-    : universe_(universe),
-      slot_of_(universe, 0),
-      slot_stamp_(universe, 0),
-      mark_(universe, 0) {}
+    : universe_(universe) {}
 
 Result<MedianResult> JaccardMedianSolver::Compute(
     std::span<const std::span<const NodeId>> sets,
@@ -55,90 +52,81 @@ Result<MedianResult> JaccardMedianSolver::Compute(
   SOI_OBS_SPAN("median/compute");
   SOI_OBS_COUNTER_ADD("median/input_sets", sets.size());
   const uint32_t num_sets = static_cast<uint32_t>(sets.size());
+  if (freq_.size() < universe_) {
+    freq_.assign(universe_, 0);
+    mark_.assign(universe_, 0);
+    median_marks_.Reserve(universe_);
+  }
 
-  // --- Collect distinct elements and frequencies. ---------------------------
-  ++stamp_;
-  std::vector<NodeId> distinct;        // slot -> element
-  std::vector<uint32_t> freq;          // slot -> #sets containing element
-  size_t total_occurrences = 0;
+  // --- Distinct elements and their frequencies. -----------------------------
+  distinct_.clear();
   for (const auto& s : sets) {
-    total_occurrences += s.size();
     for (NodeId x : s) {
-      if (slot_stamp_[x] != stamp_) {
-        slot_stamp_[x] = stamp_;
-        slot_of_[x] = static_cast<uint32_t>(distinct.size());
-        distinct.push_back(x);
-        freq.push_back(1);
-      } else {
-        ++freq[slot_of_[x]];
-      }
+      if (freq_[x]++ == 0) distinct_.push_back(x);
     }
   }
 
-  // --- Inverted index: slot -> ids of sets containing the element. ----------
-  std::vector<uint32_t> inv_offsets(distinct.size() + 1, 0);
-  for (size_t slot = 0; slot < distinct.size(); ++slot) {
-    inv_offsets[slot + 1] = inv_offsets[slot] + freq[slot];
+  // --- Thresholds: the frequencies that occur, descending. ------------------
+  uint32_t max_freq = 0;
+  for (NodeId x : distinct_) max_freq = std::max(max_freq, freq_[x]);
+  by_freq_.assign(max_freq + size_t{1}, 0);
+  for (NodeId x : distinct_) ++by_freq_[freq_[x]];
+  rank_of_.resize(max_freq + size_t{1});
+  thresholds_.clear();
+  for (uint32_t f = max_freq; f >= 1; --f) {
+    if (by_freq_[f] == 0) continue;
+    rank_of_[f] = static_cast<uint32_t>(thresholds_.size());
+    thresholds_.push_back(f);
   }
-  std::vector<uint32_t> inv(total_occurrences);
-  {
-    std::vector<uint32_t> cursor(inv_offsets.begin(), inv_offsets.end() - 1);
-    for (uint32_t i = 0; i < num_sets; ++i) {
-      for (NodeId x : sets[i]) inv[cursor[slot_of_[x]]++] = i;
+
+  // --- Per-set histograms over the thresholds. ------------------------------
+  // hist_[r * l + i] counts the elements of set i whose frequency is
+  // thresholds_[r], so |S_i ∩ {x : freq(x) >= thresholds_[r]}| is the sum of
+  // its columns 0..r.
+  const size_t num_thresholds = thresholds_.size();
+  hist_.assign(num_thresholds * num_sets, 0);
+  for (uint32_t i = 0; i < num_sets; ++i) {
+    uint32_t* const column = hist_.data() + i;
+    for (NodeId x : sets[i]) {
+      ++column[static_cast<size_t>(rank_of_[freq_[x]]) * num_sets];
     }
   }
-  auto sets_containing = [&](uint32_t slot) {
-    return std::span<const uint32_t>(inv.data() + inv_offsets[slot],
-                                     inv.data() + inv_offsets[slot + 1]);
-  };
 
-  // --- Threshold sweep (frequency-descending prefix candidates). ------------
-  std::vector<uint32_t> order(distinct.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return freq[a] != freq[b] ? freq[a] > freq[b]
-                              : distinct[a] < distinct[b];
-  });
-
-  std::vector<uint32_t> inter(num_sets, 0);
+  // --- Threshold sweep (frequency-descending candidates). -------------------
+  inter_.assign(num_sets, 0);
+  // The empty candidate is the degenerate threshold "> num_sets".
+  double best_cost = 0.0;
+  for (uint32_t i = 0; i < num_sets; ++i) {
+    best_cost += Term(0, 0, sets[i].size());
+  }
+  best_cost /= num_sets;
+  uint32_t best_threshold = num_sets + 1;
+  size_t best_size = 0;
   size_t cand_size = 0;
-
-  auto full_cost = [&](size_t c) {
+  for (size_t r = 0; r < num_thresholds; ++r) {
+    const uint32_t t = thresholds_[r];
+    cand_size += by_freq_[t];
+    const uint32_t* const row = hist_.data() + r * num_sets;
     double total = 0.0;
     for (uint32_t i = 0; i < num_sets; ++i) {
-      total += Term(inter[i], c, sets[i].size());
+      inter_[i] += row[i];
+      total += Term(inter_[i], cand_size, sets[i].size());
     }
-    return total / num_sets;
-  };
-
-  // The empty candidate is the degenerate threshold "> num_sets".
-  double best_cost = full_cost(0);
-  size_t best_prefix = 0;
-  uint32_t best_threshold = num_sets + 1;
-
-  size_t pos = 0;
-  while (pos < order.size()) {
-    const uint32_t t = freq[order[pos]];
-    // Add the whole equal-frequency group before evaluating.
-    while (pos < order.size() && freq[order[pos]] == t) {
-      for (uint32_t i : sets_containing(order[pos])) ++inter[i];
-      ++cand_size;
-      ++pos;
-    }
-    const double cost = full_cost(cand_size);
+    const double cost = total / num_sets;
     if (cost < best_cost - 1e-15) {
       best_cost = cost;
-      best_prefix = pos;
+      best_size = cand_size;
       best_threshold = t;
     }
   }
 
   MedianResult result;
-  result.median.reserve(best_prefix);
-  for (size_t i = 0; i < best_prefix; ++i) {
-    result.median.push_back(distinct[order[i]]);
+  if (best_size > 0) {
+    for (NodeId x : distinct_) {
+      if (freq_[x] >= best_threshold) median_marks_.Mark(x);
+    }
+    median_marks_.DrainAppend(best_size, &result.median);
   }
-  std::sort(result.median.begin(), result.median.end());
   result.cost = best_cost;
   result.threshold = best_threshold <= num_sets ? best_threshold : 0;
   result.source = MedianResult::Source::kThreshold;
@@ -165,7 +153,8 @@ Result<MedianResult> JaccardMedianSolver::Compute(
     const auto candidate_index = [&](uint32_t j) {
       return static_cast<uint32_t>(static_cast<uint64_t>(j) * num_sets / k);
     };
-    std::vector<uint32_t> batch_inter(static_cast<size_t>(num_sets) * 8);
+    std::vector<uint32_t>& batch_inter = batch_inter_;
+    batch_inter.resize(static_cast<size_t>(num_sets) * 8);
     for (uint32_t group = 0; group < k; group += 8) {
       const uint32_t gk = std::min<uint32_t>(8, k - group);
       for (uint32_t b = 0; b < gk; ++b) {
@@ -213,9 +202,39 @@ Result<MedianResult> JaccardMedianSolver::Compute(
   }
 
   // --- Local search: 1-element toggles. --------------------------------------
-  if (options.local_search && !distinct.empty()) {
+  if (options.local_search && !distinct_.empty()) {
     SOI_OBS_SPAN("median/local_search");
+    // Its own inverted index (slot -> ids of the sets holding the element,
+    // slots in first-occurrence order) and (frequency desc, node asc) order.
+    const size_t num_distinct = distinct_.size();
+    if (slot_of_.size() < universe_) slot_of_.resize(universe_);
+    std::vector<uint32_t> freq(num_distinct);
+    std::vector<uint32_t> inv_offsets(num_distinct + 1, 0);
+    for (size_t slot = 0; slot < num_distinct; ++slot) {
+      slot_of_[distinct_[slot]] = static_cast<uint32_t>(slot);
+      freq[slot] = freq_[distinct_[slot]];
+      inv_offsets[slot + 1] = inv_offsets[slot] + freq[slot];
+    }
+    std::vector<uint32_t> inv(inv_offsets.back());
+    {
+      std::vector<uint32_t> cursor(inv_offsets.begin(), inv_offsets.end() - 1);
+      for (uint32_t i = 0; i < num_sets; ++i) {
+        for (NodeId x : sets[i]) inv[cursor[slot_of_[x]]++] = i;
+      }
+    }
+    auto sets_containing = [&](uint32_t slot) {
+      return std::span<const uint32_t>(inv.data() + inv_offsets[slot],
+                                       inv.data() + inv_offsets[slot + 1]);
+    };
+    std::vector<uint32_t> order(num_distinct);
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return freq[a] != freq[b] ? freq[a] > freq[b]
+                                : distinct_[a] < distinct_[b];
+    });
+
     // Rebuild intersection counts for the current best candidate.
+    std::vector<uint32_t>& inter = inter_;
     std::fill(inter.begin(), inter.end(), 0);
     for (NodeId x : result.median) mark_[x] = 1;
     for (uint32_t i = 0; i < num_sets; ++i) {
@@ -236,7 +255,7 @@ Result<MedianResult> JaccardMedianSolver::Compute(
       bool improved = false;
       for (uint32_t slot_idx = 0; slot_idx < order.size(); ++slot_idx) {
         const uint32_t slot = order[slot_idx];
-        const NodeId x = distinct[slot];
+        const NodeId x = distinct_[slot];
         const bool inside = mark_[x] != 0;
         const size_t new_c = inside ? cand_size - 1 : cand_size + 1;
         // Base: all sets at unchanged intersection but new candidate size.
@@ -271,7 +290,7 @@ Result<MedianResult> JaccardMedianSolver::Compute(
 
     if (changed) {
       result.median.clear();
-      for (NodeId x : distinct) {
+      for (NodeId x : distinct_) {
         if (mark_[x]) result.median.push_back(x);
       }
       std::sort(result.median.begin(), result.median.end());
@@ -279,9 +298,10 @@ Result<MedianResult> JaccardMedianSolver::Compute(
       result.threshold = 0;
       result.source = MedianResult::Source::kLocalSearch;
     }
-    for (NodeId x : distinct) mark_[x] = 0;
+    for (NodeId x : distinct_) mark_[x] = 0;
   }
 
+  for (NodeId x : distinct_) freq_[x] = 0;
   return result;
 }
 

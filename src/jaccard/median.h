@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/prob_graph.h"
+#include "util/bitvector.h"
 #include "util/status.h"
 
 namespace soi {
@@ -50,11 +51,21 @@ struct MedianResult {
 /// S_1..S_l over [0, universe), find C minimizing the average Jaccard
 /// distance. NP-hard in general (Chierichetti et al., SODA 2010); this
 /// implements their practical 1+O(eps) approach: sweep all frequency
-/// thresholds with incremental cost maintenance, optionally compare against
-/// input-set candidates and refine by local search.
+/// thresholds, optionally compare against input-set candidates and refine
+/// by local search.
 ///
-/// The solver owns O(universe) scratch arrays, so construct once and reuse
-/// across queries (e.g. for the all-nodes sweep of Algorithm 2).
+/// The sweep never sorts. Each set gets a histogram over the frequencies
+/// that occur, so at threshold t its intersection with the candidate
+/// {x : freq(x) >= t} is a running sum over those columns, and every
+/// threshold's cost is the same integers summed in the same set order as a
+/// frequency-sorted prefix sweep would give. The winning elements come out
+/// ascending through a bitmap. Local search, when asked for, builds its own
+/// inverted index and (frequency desc, node asc) order.
+///
+/// The solver owns O(universe + l * distinct frequencies) scratch, sized on
+/// first use and reused, so construct once and reuse across queries (e.g.
+/// one per worker in the all-nodes sweep of Algorithm 2); once warm the
+/// threshold and input-candidate paths allocate nothing but the result.
 class JaccardMedianSolver {
  public:
   explicit JaccardMedianSolver(NodeId universe);
@@ -71,15 +82,20 @@ class JaccardMedianSolver {
   NodeId universe() const { return universe_; }
 
  private:
-  struct Sweep;
-
   NodeId universe_;
-  // Scratch, sized universe_, stamped for O(1) logical reset.
-  std::vector<uint32_t> slot_of_;     // element -> distinct-slot index
-  std::vector<uint32_t> slot_stamp_;  // stamp guard for slot_of_
-  std::vector<uint8_t> mark_;        // generic membership scratch
-  std::vector<NodeId> marked_;       // touched entries of mark_
-  uint32_t stamp_ = 0;
+  // Universe-wide scratch, sized on first use, all zero between calls.
+  std::vector<uint32_t> freq_;  // element -> number of sets holding it
+  std::vector<uint8_t> mark_;   // candidate membership bits
+  SortedIdMarks median_marks_;  // emits the threshold median ascending
+  std::vector<uint32_t> slot_of_;  // local search: element -> distinct slot
+  // Per-call scratch, reused across calls.
+  std::vector<NodeId> distinct_;       // elements, first-occurrence order
+  std::vector<uint32_t> by_freq_;      // frequency -> distinct elements
+  std::vector<uint32_t> rank_of_;      // frequency -> threshold rank
+  std::vector<uint32_t> thresholds_;   // frequencies that occur, descending
+  std::vector<uint32_t> hist_;         // [rank * l + set]: per-set histogram
+  std::vector<uint32_t> inter_;        // set -> |set ∩ candidate|
+  std::vector<uint32_t> batch_inter_;  // input candidates: 8 counts per set
 };
 
 /// Exact optimal median by enumerating all subsets of the union of the

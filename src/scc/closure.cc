@@ -4,66 +4,6 @@
 
 namespace soi {
 
-void MergeComponentMemberRuns(const Condensation& cond,
-                              std::span<const uint32_t> comps,
-                              RunMergeScratch* scratch,
-                              std::vector<NodeId>* out) {
-  const size_t k = comps.size();
-  if (k == 0) return;
-  if (k == 1) {
-    const auto m = cond.ComponentMembers(comps[0]);
-    out->insert(out->end(), m.begin(), m.end());
-    return;
-  }
-  if (k == 2) {
-    const auto a = cond.ComponentMembers(comps[0]);
-    const auto b = cond.ComponentMembers(comps[1]);
-    const size_t base = out->size();
-    out->resize(base + a.size() + b.size());
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), out->begin() + base);
-    return;
-  }
-  // k >= 3: concatenate the runs, then pairwise ping-pong merges; the final
-  // two runs merge straight into *out. Runs are disjoint (components
-  // partition the nodes), so this is a plain merge, no dedup.
-  std::vector<NodeId>& a = scratch->a;
-  std::vector<NodeId>& b = scratch->b;
-  std::vector<size_t>& ab = scratch->bounds_a;
-  std::vector<size_t>& bb = scratch->bounds_b;
-  a.clear();
-  ab.clear();
-  ab.push_back(0);
-  for (uint32_t c : comps) {
-    const auto m = cond.ComponentMembers(c);
-    a.insert(a.end(), m.begin(), m.end());
-    ab.push_back(a.size());
-  }
-  while (ab.size() - 1 > 2) {
-    b.resize(a.size());
-    bb.clear();
-    bb.push_back(0);
-    size_t w = 0;
-    for (size_t r = 0; r + 1 < ab.size(); r += 2) {
-      if (r + 2 < ab.size()) {
-        std::merge(a.begin() + ab[r], a.begin() + ab[r + 1],
-                   a.begin() + ab[r + 1], a.begin() + ab[r + 2],
-                   b.begin() + w);
-        w += ab[r + 2] - ab[r];
-      } else {  // odd run out: carry over
-        std::copy(a.begin() + ab[r], a.begin() + ab[r + 1], b.begin() + w);
-        w += ab[r + 1] - ab[r];
-      }
-      bb.push_back(w);
-    }
-    a.swap(b);
-    ab.swap(bb);
-  }
-  const size_t base = out->size();
-  out->resize(base + a.size());
-  std::merge(a.begin(), a.begin() + ab[1], a.begin() + ab[1], a.end(),
-             out->begin() + base);
-}
-
 namespace {
 
 // Ping-pong buffers for UnionSortedLists, reused across the components of

@@ -31,7 +31,8 @@ namespace soi {
 /// them and never sorts. After the build a single-source cascade query is a
 /// span into the runs CSR (no traversal, no sort, no copy), a cascade size is
 /// a subtraction of two offsets, and a multi-source cascade is a stamped
-/// union of closure lists followed by one run merge.
+/// union of closure lists whose members the index marks in a node bitmap
+/// and drains ascending (CascadeIndex::Workspace).
 ///
 /// Storage is per array pair: the offsets and the runs are each either
 /// owned (the vectors below, filled by BuildReachabilityClosure) or
@@ -151,22 +152,6 @@ struct ReachabilityClosure {
   std::span<const uint64_t> b_node_offsets_;
   std::span<const NodeId> b_nodes_;
 };
-
-/// Reusable scratch for MergeComponentMemberRuns (ping-pong buffers + run
-/// bounds); caller-owned to amortize allocations across queries.
-struct RunMergeScratch {
-  std::vector<NodeId> a, b;
-  std::vector<size_t> bounds_a, bounds_b;
-};
-
-/// Appends the ascending union of the member runs of `comps` (distinct,
-/// ascending component ids — their member runs are disjoint and pre-sorted)
-/// to *out. O(S log k) for S output nodes and k runs, vs O(S log S) for
-/// gather + sort.
-void MergeComponentMemberRuns(const Condensation& cond,
-                              std::span<const uint32_t> comps,
-                              RunMergeScratch* scratch,
-                              std::vector<NodeId>* out);
 
 /// Builds the full reachability closure of `cond` in one ascending
 /// (reverse-topological) pass. Deterministic: the output depends only on the

@@ -33,10 +33,12 @@ namespace soi {
 ///    of its footprint (per-component cost is O(#intervals), not
 ///    O(#reachable nodes)).
 ///  - Reachability test: binary search over the interval list.
-///  - Membership enumeration: expanding the intervals streams the closure's
-///    component ids in ascending order, so the cascade run materializes via
-///    the same disjoint-run merge the closure cache uses — byte-identical
-///    output, nothing stored.
+///  - Membership enumeration: the members of components [lo, hi] are one
+///    contiguous slice of the condensation's members array,
+///    members[mo[lo], mo[hi + 1]), so the index marks each interval's slice
+///    in a node bitmap and drains it ascending (index/cascade_index.h) —
+///    the materialized run, byte for byte, with no component id expanded
+///    and nothing stored.
 ///
 /// Storage is dual-mode like the other serving-state arenas: owned vectors
 /// (BuildReachLabels) or spans borrowed from an mmap'd snapshot section.

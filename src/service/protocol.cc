@@ -653,9 +653,14 @@ bool SalvageIntField(std::string_view line, std::string_view key,
     const size_t begin = j;
     if (j < n && line[j] == '-') ++j;
     if (j >= n || line[j] < '0' || line[j] > '9') continue;
-    // Digits past int64's range make no integer either.
-    if (std::from_chars(line.data() + begin, line.data() + n, *out).ec !=
-        std::errc()) {
+    // Digits past int64's range make no integer either, and neither do
+    // digits that do not end the value ("1e300", "2.5", "7x").
+    const auto [end, ec] =
+        std::from_chars(line.data() + begin, line.data() + n, *out);
+    if (ec != std::errc()) continue;
+    const size_t after = static_cast<size_t>(end - line.data());
+    if (after < n && !is_ws(line[after]) && line[after] != ',' &&
+        line[after] != '}') {
       continue;
     }
     return true;

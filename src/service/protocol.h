@@ -132,14 +132,17 @@ std::string FormatResponseLine(int64_t id, int version,
 /// parse, so the client can still match the error to its request. Scans
 /// for a quoted "id" KEY — a quote-aware tokenizer, not a substring match,
 /// so an "id" embedded inside a string value never counts — tolerating
-/// arbitrary whitespace around the ':'. Returns -1 when no id key with an
-/// integer value inside int64 is found.
+/// arbitrary whitespace around the ':'. The value counts only as a whole
+/// integer token inside int64: its digits must end the value (whitespace,
+/// ',', '}' or the end of the line), so "1e300" or "2.5" is no id. Returns
+/// -1 when no such id is found.
 int64_t SalvageId(std::string_view line);
 
 /// Best-effort recovery of the envelope version from a malformed line (same
 /// key scanner as SalvageId), so a v2 client gets its parse errors in the
-/// v2 error shape. Returns 2 only for a "v" key with integer value 2;
-/// everything else (absent, string-embedded, non-integer) is 1.
+/// v2 error shape. Returns 2 only for a "v" key whose value is the whole
+/// integer token 2 (the SalvageId rule); everything else (absent,
+/// string-embedded, non-integer, "2.5") is 1.
 int SalvageVersion(std::string_view line);
 
 /// snake_case wire name of a status code ("ok", "invalid_argument",

@@ -1,6 +1,7 @@
 #ifndef SOI_UTIL_BITVECTOR_H_
 #define SOI_UTIL_BITVECTOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -94,6 +95,57 @@ class BitVector {
  private:
   size_t size_ = 0;
   std::vector<uint64_t> words_;
+};
+
+/// Collects ids in a bitmap and hands them back ascending and distinct: the
+/// sort-free way to emit a set gathered in arbitrary order (cascades from
+/// component members, the Jaccard median's winning elements). It tracks the
+/// span of words it touched, so a drain costs O(ids + span / 64), and a
+/// drain leaves every bit clear, so one instance serves query after query
+/// with no reset. Sized on first use; grows, never shrinks.
+class SortedIdMarks {
+ public:
+  /// Makes ids [0, size) markable. New bits are clear.
+  void Reserve(size_t size) {
+    const size_t words = (size + 63) / 64;
+    if (words_.size() < words) words_.resize(words, 0);
+  }
+
+  void Mark(uint32_t id) {
+    const size_t w = id >> 6;
+    SOI_DCHECK(w < words_.size());
+    words_[w] |= uint64_t{1} << (id & 63);
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w);
+  }
+
+  /// Appends the marked ids to *out, ascending, and clears them.
+  /// `max_ids` must be at least the number of distinct marked ids (the
+  /// number of Mark calls always is); *out grows by exactly the number of
+  /// distinct ids.
+  void DrainAppend(size_t max_ids, std::vector<uint32_t>* out) {
+    const size_t base = out->size();
+    out->resize(base + max_ids);
+    uint32_t* w = out->data() + base;
+    [[maybe_unused]] uint32_t* const end = w + max_ids;
+    for (size_t i = lo_; i <= hi_; ++i) {
+      uint64_t bits = words_[i];
+      words_[i] = 0;
+      while (bits != 0) {
+        SOI_DCHECK(w != end);
+        *w++ = static_cast<uint32_t>(i * 64 + __builtin_ctzll(bits));
+        bits &= bits - 1;
+      }
+    }
+    out->resize(static_cast<size_t>(w - out->data()));
+    lo_ = SIZE_MAX;
+    hi_ = 0;
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+  size_t lo_ = SIZE_MAX;  // touched words: [lo_, hi_], empty when lo_ > hi_
+  size_t hi_ = 0;
 };
 
 }  // namespace soi

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -188,23 +189,83 @@ TEST(ClosureBuildTest, NodeCapBailsToEmptyClosure) {
   EXPECT_TRUE(below_cap.nodes.empty());
 }
 
-TEST(ClosureBuildTest, MergeComponentMemberRunsMatchesGatherSort) {
-  const ProbGraph g = TestGraph(PropagationModel::kIndependentCascade);
-  const CascadeIndex index =
-      BuildIndex(g, PropagationModel::kIndependentCascade, true, 0, 4);
-  const Condensation& cond = index.world(1);
-  const ReachabilityClosure closure = BuildReachabilityClosure(cond, UINT64_MAX);
-  RunMergeScratch scratch;
-  for (uint32_t c = 0; c < cond.num_components(); ++c) {
-    std::vector<NodeId> merged;
-    MergeComponentMemberRuns(cond, closure.Closure(c), &scratch, &merged);
-    std::vector<NodeId> gathered;
-    for (uint32_t cc : closure.Closure(c)) {
-      const auto m = cond.ComponentMembers(cc);
-      gathered.insert(gathered.end(), m.begin(), m.end());
+TEST(ClosureBuildTest, BitmapCascadeAssemblyMatchesGatherSort) {
+  // n = 150 is not a multiple of 64, so the bitmap's last word is partial.
+  Rng gen_rng(17);
+  auto topo = GenerateErdosRenyi(150, 420, /*undirected=*/false, &gen_rng);
+  ASSERT_TRUE(topo.ok());
+  Rng assign_rng(18);
+  auto g = AssignUniform(*topo, &assign_rng, 0.1, 0.6);
+  ASSERT_TRUE(g.ok());
+  const NodeId n = g->num_nodes();
+  ASSERT_EQ(n % 64, 22u);
+  const auto build = [&](uint64_t budget_mb, ClosureTierPolicy policy) {
+    return BuildIndex(*g, PropagationModel::kIndependentCascade, false,
+                      budget_mb, 12, 19, policy);
+  };
+  const CascadeIndex materialized = build(512, ClosureTierPolicy::kAuto);
+  const CascadeIndex labeled = build(512, ClosureTierPolicy::kLabels);
+  const CascadeIndex traversal = build(0, ClosureTierPolicy::kAuto);
+  ASSERT_TRUE(materialized.has_closure_cache());
+  ASSERT_EQ(labeled.stats().worlds_labeled, labeled.num_worlds());
+  ASSERT_EQ(traversal.stats().worlds_traversal, traversal.num_worlds());
+
+  // Reference: DFS from every seed's component, gather the members, sort.
+  std::vector<uint32_t> stamp;
+  std::vector<uint32_t> reached;
+  uint32_t stamp_id = 0;
+  const auto gather_sort = [&](const Condensation& cond,
+                               std::span<const NodeId> seeds) {
+    stamp.assign(cond.num_components(), 0);
+    reached.clear();
+    ++stamp_id;
+    for (NodeId s : seeds) {
+      ReachableComponents(cond, cond.ComponentOf(s), &stamp, stamp_id,
+                          &reached);
     }
-    std::sort(gathered.begin(), gathered.end());
-    EXPECT_EQ(merged, gathered);
+    std::vector<NodeId> out;
+    for (uint32_t c : reached) {
+      const auto m = cond.ComponentMembers(c);
+      out.insert(out.end(), m.begin(), m.end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  std::vector<std::vector<NodeId>> seed_sets;
+  for (NodeId v = 0; v < n; ++v) seed_sets.push_back({v});
+  seed_sets.push_back({0, n - 1});
+  seed_sets.push_back({n - 1, 0, 7});
+  seed_sets.push_back({1, 2, 3, 64, 127, 128, 149});
+  Rng seed_rng(20);
+  for (int k = 0; k < 20; ++k) {
+    std::vector<NodeId> seeds;
+    const uint64_t size = 2 + seed_rng.NextBounded(12);
+    for (uint64_t j = 0; j < size; ++j) {
+      seeds.push_back(static_cast<NodeId>(seed_rng.NextBounded(n)));
+    }
+    seed_sets.push_back(std::move(seeds));
+  }
+
+  // One workspace per index serves every query: a drained bitmap must be
+  // clear for the next one.
+  for (const CascadeIndex* index : {&materialized, &labeled, &traversal}) {
+    CascadeIndex::Workspace ws;
+    CascadeIndex::CascadeArena arena;
+    for (uint32_t i = 0; i < index->num_worlds(); ++i) {
+      for (const auto& seeds : seed_sets) {
+        const std::vector<NodeId> expected =
+            gather_sort(index->world(i), seeds);
+        ASSERT_EQ(index->Cascade(seeds, i, &ws).value(), expected)
+            << "world " << i << " tier "
+            << static_cast<int>(index->tier(i)) << " seeds "
+            << seeds.size();
+        arena.Clear();
+        index->AppendCascade(seeds, i, &ws, &arena);
+        const auto view = arena.View(0);
+        ASSERT_TRUE(std::ranges::equal(view, expected));
+      }
+    }
   }
 }
 

@@ -1,10 +1,16 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "jaccard/jaccard.h"
 #include "jaccard/median.h"
+#include "reference_median.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -230,6 +236,93 @@ TEST(MedianTest, SolverReusableAcrossQueries) {
   EXPECT_EQ(r1->median, r1_again->median);
   EXPECT_DOUBLE_EQ(r1->cost, r1_again->cost);
   EXPECT_EQ(r2->median, (std::vector<NodeId>{5, 9}));
+}
+
+// ------------------------------------------ Median vs sorting reference ---
+
+// A seeded family of l sorted sets over [0, universe) whose element
+// frequencies spread over the whole range, so many thresholds compete.
+// Shapes: 0 plain, 1 every third set empty, 2 one full set and duplicated
+// sets, 3 all sets empty.
+std::vector<std::vector<NodeId>> RandomFamily(NodeId universe, uint32_t l,
+                                              int shape, Rng* rng) {
+  std::vector<std::vector<NodeId>> sets(l);
+  if (shape == 3) return sets;
+  std::vector<double> p(universe);
+  for (double& q : p) {
+    const double u = rng->NextDouble();
+    q = u < 0.1   ? 0.7 + 0.3 * rng->NextDouble()
+        : u < 0.4 ? 0.2 + 0.5 * rng->NextDouble()
+                  : 0.05 * rng->NextDouble();
+  }
+  for (auto& s : sets) {
+    for (NodeId v = 0; v < universe; ++v) {
+      if (rng->NextBernoulli(p[v])) s.push_back(v);
+    }
+  }
+  if (shape == 1) {
+    for (uint32_t i = 0; i < l; i += 3) sets[i].clear();
+  } else if (shape == 2) {
+    for (uint32_t i = 1; i < l; i += 4) sets[i] = sets[0];
+    sets[l / 2].clear();
+    for (NodeId v = 0; v < universe; ++v) sets[l / 2].push_back(v);
+  }
+  return sets;
+}
+
+TEST(MedianReferenceTest, MatchesSortingReferenceOnSeededFamilies) {
+  struct Family {
+    uint32_t l;
+    NodeId universe;
+    int shape;
+  };
+  std::vector<Family> families;
+  for (uint32_t l : {1u, 2u, 3u, 31u, 32u, 33u, 64u, 65u, 256u}) {
+    for (NodeId universe : {1u, 63u, 64u, 65u, 700u, 5000u}) {
+      for (int shape = 0; shape < 4; ++shape) {
+        families.push_back({l, universe, shape});
+      }
+    }
+  }
+  // Shuffled, so the one reused solver sees l and the universe both grow
+  // and shrink from call to call.
+  Rng order_rng(90);
+  for (size_t i = families.size(); i > 1; --i) {
+    std::swap(families[i - 1], families[order_rng.NextBounded(i)]);
+  }
+  JaccardMedianSolver solver(5000);
+  Rng rng(91);
+  size_t compared = 0;
+  for (const Family& f : families) {
+    const auto sets = RandomFamily(f.universe, f.l, f.shape, &rng);
+    std::vector<std::span<const NodeId>> views(sets.begin(), sets.end());
+    reference::SortingMedianSolver ref(f.universe);
+    for (uint32_t candidates : {0u, 8u, 13u}) {
+      for (bool local_search : {false, true}) {
+        MedianOptions options;
+        options.input_candidates = candidates;
+        options.local_search = local_search;
+        options.trusted_presorted = (compared % 2) == 0;
+        const auto want = ref.Compute(views, options);
+        const auto got = solver.Compute(views, options);
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        const std::string where =
+            "l=" + std::to_string(f.l) + " universe=" +
+            std::to_string(f.universe) + " shape=" + std::to_string(f.shape) +
+            " candidates=" + std::to_string(candidates) +
+            " local_search=" + std::to_string(local_search);
+        ASSERT_EQ(got->median, want->median) << where;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got->cost),
+                  std::bit_cast<uint64_t>(want->cost))
+            << where;
+        ASSERT_EQ(got->threshold, want->threshold) << where;
+        ASSERT_EQ(got->source, want->source) << where;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 9u * 6u * 4u * 6u);
 }
 
 TEST(ExactMedianTest, KnownInstance) {

@@ -1486,6 +1486,37 @@ TEST(ServeStreamTest, LargeIdEchoesTheSameWithAnUnknownKey) {
       << lines[2];
 }
 
+TEST(ServeStreamTest, SalvagedIdsAreWholeTokens) {
+  // An error answer carries only an id the client gave. Digits that do not
+  // end the value ("1e300", "2.5") are no id, so those lines answer -1 and
+  // cannot be matched to requests 1 and 2; the version salvage follows the
+  // same rule. A whole token is still salvaged from a line broken
+  // elsewhere, whitespace and all.
+  Engine engine = MakeEngine(PaperExampleGraph());
+  const std::vector<std::string> lines = SplitLines(ServeOnce(
+      &engine,
+      "{\"op\":\"spread\",\"seeds\":[4],\"id\":1e300}\n"
+      "{\"op\":\"spread\",\"seeds\":[4],\"id\":2.5}\n"
+      "{\"op\":\"spread\",\"seeds\":[4,],\"id\": 12 ,\"x\":1}\n"
+      "{\"v\":2.5,\"op\":\"spread\",\"seeds\":[4,],\"id\":13}\n"
+      "{\"v\":2 ,\"op\":\"spread\",\"seeds\":[4,],\"id\":14}\n"));
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[0].rfind("{\"id\":-1,\"status\":\"invalid_argument\"", 0),
+            0u)
+      << lines[0];
+  EXPECT_EQ(lines[1].rfind("{\"id\":-1,\"status\":\"invalid_argument\"", 0),
+            0u)
+      << lines[1];
+  EXPECT_EQ(lines[2].rfind("{\"id\":12,\"status\":\"invalid_argument\"", 0),
+            0u)
+      << lines[2];
+  EXPECT_EQ(lines[3].rfind("{\"id\":13,\"status\":\"invalid_argument\"", 0),
+            0u)
+      << lines[3];
+  EXPECT_EQ(lines[4].rfind("{\"id\":14,\"status\":\"error\"", 0), 0u)
+      << lines[4];
+}
+
 TEST(LineGuardTest, OversizedLineGetsInOrderErrorAndResyncs) {
   Engine engine = MakeEngine(PaperExampleGraph());
   ServeOptions options;
