@@ -11,6 +11,11 @@
 //   - Jaccard median: threshold sweep alone vs + input candidates vs
 //     + local search (quality/time ablation)
 //   - spread-oracle marginal-gain evaluation
+//   - snapshot writer cost without disk: CRC-32C through the portable
+//     slice-by-8 path vs the dispatched one (the SSE4.2 `crc32`
+//     instruction where the CPU has it), and SerializeSnapshot of a
+//     serving state (closures, typical table, k=64 sketches) at thread
+//     budgets 1 and 2
 //   - greedy seed selection: the shared cover engine (exact decrements +
 //     lazy bucket queue) vs the legacy CELF heap and the legacy O(k*n)
 //     rescan, over typical cascades (BM_InfMaxTC) and RR sets (BM_RrSelect);
@@ -42,6 +47,7 @@
 #include "scc/tarjan.h"
 #include "scc/transitive.h"
 #include "service/engine.h"
+#include "snapshot/crc32c.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "util/rng.h"
@@ -247,6 +253,67 @@ void BM_SketchOracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SketchOracleQuery);
+
+void BM_Crc32c(benchmark::State& state,
+               uint32_t (*extend)(uint32_t, const void*, size_t)) {
+  static const std::vector<uint64_t> words = [] {
+    std::vector<uint64_t> out((4 << 20) / 8);
+    Rng rng(16);
+    for (uint64_t& w : out) w = rng.Next();
+    return out;
+  }();
+  const size_t bytes = words.size() * sizeof(uint64_t);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extend(0, words.data(), bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, portable, &Crc32cExtendPortable);
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32cExtend);
+
+// The bytes a snapshot create writes, built in memory: packing the
+// closures and checksumming the sections run on the thread budget.
+void BM_SerializeSnapshot(benchmark::State& state) {
+  static const CascadeIndex* index = [] {
+    CascadeIndexOptions options;
+    options.num_worlds = 64;
+    Rng rng(17);
+    auto built = CascadeIndex::Build(TestGraph(), options, &rng);
+    SOI_CHECK(built.ok() && built->has_closure_cache());
+    return new CascadeIndex(std::move(built).value());
+  }();
+  static const FlatSets* typical = [] {
+    TypicalCascadeComputer computer(index);
+    auto sweep = computer.ComputeAllFlat();
+    SOI_CHECK(sweep.ok());
+    return new FlatSets(std::move(sweep->cascades));
+  }();
+  static const SketchSpreadOracle* sketches = [] {
+    auto built = SketchSpreadOracle::BuildDeterministic(*index, 64, 18);
+    SOI_CHECK(built.ok());
+    return new SketchSpreadOracle(std::move(built).value());
+  }();
+  SnapshotWriteOptions options;
+  options.typical = typical;
+  options.sketches = sketches;
+  const uint32_t prev_threads = GlobalThreads();
+  SetGlobalThreads(static_cast<uint32_t>(state.range(0)));
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    auto out = SerializeSnapshot(TestGraph(), *index, options);
+    SOI_CHECK(out.ok());
+    bytes = out->size();
+    benchmark::DoNotOptimize(out->data());
+    benchmark::ClobberMemory();
+  }
+  SetGlobalThreads(prev_threads);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_SerializeSnapshot)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgNames({"threads"})
+    ->UseRealTime();
 
 void BM_SpreadOracleGain(benchmark::State& state) {
   CascadeIndexOptions options;

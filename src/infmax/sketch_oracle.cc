@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 
+#include "runtime/parallel_for.h"
 #include "util/check.h"
 
 namespace soi {
@@ -22,6 +25,94 @@ inline uint64_t RankOf(uint64_t salt, uint32_t world, NodeId v) {
 inline double NormalizedRank(uint64_t rank) {
   return (static_cast<double>(rank) + 1.0) * 0x1.0p-64;
 }
+
+// Streams the k smallest distinct ranks of sorted runs `a` and `b` into
+// `out` (caller-sized to >= k), returning how many were written. Bottom-k
+// sketches are closed under this: the union's bottom-k is the k-truncated
+// merge of the parts' bottom-k runs, so capping at k loses nothing and
+// keeps every query O(k) per run instead of sorting the concatenation.
+// Shared descendants contribute the same rank through several runs;
+// min-wise semantics require deduplication. Once one run exhausts, the
+// other's tail is a block copy.
+size_t MergeBottomK(std::span<const uint64_t> a, std::span<const uint64_t> b,
+                    uint32_t k, uint64_t* out) {
+  const size_t na = a.size();
+  const size_t nb = b.size();
+  size_t i = 0;
+  size_t j = 0;
+  size_t o = 0;
+  while (o < k) {
+    if (i < na && j < nb) {
+      const uint64_t va = a[i];
+      const uint64_t vb = b[j];
+      if (va < vb) {
+        out[o++] = va;
+        ++i;
+      } else if (vb < va) {
+        out[o++] = vb;
+        ++j;
+      } else {
+        out[o++] = va;
+        ++i;
+        ++j;
+      }
+    } else if (i < na) {
+      const size_t take = std::min<size_t>(k - o, na - i);
+      std::copy_n(a.data() + i, take, out + o);
+      o += take;
+      break;
+    } else if (j < nb) {
+      const size_t take = std::min<size_t>(k - o, nb - j);
+      std::copy_n(b.data() + j, take, out + o);
+      o += take;
+      break;
+    } else {
+      break;
+    }
+  }
+  return o;
+}
+
+// Per-thread scratch for building bottom-k sketches.
+class ComponentSketcher {
+ public:
+  ComponentSketcher(uint64_t salt, uint32_t k)
+      : salt_(salt), k_(k), acc_(k), tmp_(k) {}
+
+  // The sketch of component c of world `world`: the k smallest ranks over
+  // c's members and its DAG successors' finished sketches (`sketch_of(s)`),
+  // ascending. Each successor sketch already is the bottom-k of what it
+  // reaches, so k-truncated merges lose nothing, and a successor whose
+  // smallest rank lies past a full sketch's largest is skipped unread.
+  // Valid until the next call.
+  template <typename SketchOf>
+  std::span<const uint64_t> Build(const Condensation& cond, uint32_t world,
+                                  uint32_t c, SketchOf&& sketch_of) {
+    const auto members = cond.ComponentMembers(c);
+    members_.clear();
+    for (NodeId v : members) members_.push_back(RankOf(salt_, world, v));
+    std::sort(members_.begin(), members_.end());
+    size_t len = std::min<size_t>(members_.size(), k_);
+    std::copy_n(members_.data(), len, acc_.data());
+    for (uint32_t succ : cond.DagSuccessors(c)) {
+      const std::span<const uint64_t> run = sketch_of(succ);
+      if (run.empty() || (len == k_ && run.front() >= acc_[len - 1])) {
+        continue;
+      }
+      len = MergeBottomK(std::span<const uint64_t>(acc_.data(), len), run,
+                         k_, tmp_.data());
+      acc_.swap(tmp_);
+    }
+    return std::span<const uint64_t>(acc_.data(), len);
+  }
+
+ private:
+  uint64_t salt_;
+  uint32_t k_;
+  std::vector<uint64_t> members_;
+  std::vector<uint64_t> acc_;
+  std::vector<uint64_t> tmp_;
+};
 
 Status BadK(uint32_t k) {
   char msg[128];
@@ -46,41 +137,112 @@ Result<SketchSpreadOracle> SketchSpreadOracle::BuildWithSalt(
   oracle.index_ = &index;
   oracle.k_ = k;
   oracle.salt_ = salt;
+  const uint32_t w = index.num_worlds();
 
-  std::vector<uint64_t> buf;
-  for (uint32_t i = 0; i < index.num_worlds(); ++i) {
+  // One offset table of nc + 1 entries per world, back to back.
+  std::vector<uint64_t>& base = oracle.world_base_;
+  base.assign(w + 1, 0);
+  for (uint32_t i = 0; i < w; ++i) {
+    base[i + 1] = base[i] + index.world(i).num_components() + 1;
+  }
+  std::vector<uint64_t>& offsets = oracle.own_offsets_;
+  offsets.resize(base[w]);
+
+  // Sizing pass, on this thread; every table starts relative to its
+  // world's first entry. Ranks are distinct within a world (RankOf is a
+  // bijection of the node id for a fixed salt and world), so component c's
+  // sketch holds exactly min(k, |R(c)|) ranks, R(c) being the nodes c
+  // reaches — an O(1) count on the closure and labels tiers. A traversal
+  // world has no such count, so its sketches are built here, into
+  // `staged`, and their lengths read off. Children (DAG successors) have
+  // smaller ids, so ascending order is a valid bottom-up schedule.
+  std::vector<uint32_t> counted;  // worlds sized by count, built below
+  std::vector<uint64_t> staged;   // traversal worlds' runs, in world order
+  ComponentSketcher sketcher(salt, k);
+  for (uint32_t i = 0; i < w; ++i) {
     const Condensation& cond = index.world(i);
-    const uint32_t nc = cond.num_components();
-    oracle.world_base_.push_back(oracle.own_offsets_.size());
-    // Offset table for this world: nc + 1 entries. Filled as we go.
-    const size_t table_start = oracle.own_offsets_.size();
-    oracle.own_offsets_.resize(table_start + nc + 1);
-    oracle.own_offsets_[table_start] = oracle.own_entries_.size();
-
-    // Children (DAG successors) have smaller ids, so ascending order is a
-    // valid bottom-up schedule.
-    for (uint32_t c = 0; c < nc; ++c) {
-      buf.clear();
-      for (NodeId v : cond.ComponentMembers(c)) {
-        buf.push_back(RankOf(salt, i, v));
+    uint64_t* table = offsets.data() + base[i];
+    table[0] = 0;
+    if (index.tier(i) != WorldTier::kTraversal) {
+      for (uint32_t c = 0; c < cond.num_components(); ++c) {
+        table[c + 1] = table[c] + std::min<uint64_t>(
+                                      k, index.ReachNodeCount(c, i));
       }
-      for (uint32_t succ : cond.DagSuccessors(c)) {
-        const uint64_t begin = oracle.own_offsets_[table_start + succ];
-        const uint64_t end = oracle.own_offsets_[table_start + succ + 1];
-        buf.insert(buf.end(), oracle.own_entries_.begin() + begin,
-                   oracle.own_entries_.begin() + end);
-      }
-      std::sort(buf.begin(), buf.end());
-      buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
-      if (buf.size() > oracle.k_) buf.resize(oracle.k_);
-      oracle.own_entries_.insert(oracle.own_entries_.end(), buf.begin(),
-                                 buf.end());
-      oracle.own_offsets_[table_start + c + 1] = oracle.own_entries_.size();
+      counted.push_back(i);
+      continue;
+    }
+    const size_t start = staged.size();
+    for (uint32_t c = 0; c < cond.num_components(); ++c) {
+      const auto run = sketcher.Build(cond, i, c, [&](uint32_t s) {
+        return std::span<const uint64_t>(staged.data() + start + table[s],
+                                         staged.data() + start + table[s + 1]);
+      });
+      staged.insert(staged.end(), run.begin(), run.end());
+      table[c + 1] = staged.size() - start;
     }
   }
-  oracle.world_base_.push_back(oracle.own_offsets_.size());
-  oracle.sketch_offsets_ = oracle.own_offsets_;
-  oracle.entries_ = oracle.own_entries_;
+
+  // World i's runs start where world i - 1's end. The pool is allocated
+  // once, exactly, and uninitialized: every entry is written below.
+  std::vector<uint64_t> entry_base(w + 1, 0);
+  for (uint32_t i = 0; i < w; ++i) {
+    entry_base[i + 1] = entry_base[i] + offsets[base[i + 1] - 1];
+  }
+  oracle.own_entries_ =
+      std::make_unique_for_overwrite<uint64_t[]>(entry_base[w]);
+  uint64_t* const entries = oracle.own_entries_.get();
+  // Makes world i's table absolute into the pool.
+  const auto rebase = [&](uint32_t i) {
+    for (uint64_t e = base[i]; e < base[i + 1]; ++e) {
+      offsets[e] += entry_base[i];
+    }
+  };
+  size_t staged_at = 0;
+  for (uint32_t i = 0; i < w; ++i) {
+    if (index.tier(i) != WorldTier::kTraversal) continue;
+    const uint64_t len = entry_base[i + 1] - entry_base[i];
+    std::copy_n(staged.data() + staged_at, len, entries + entry_base[i]);
+    staged_at += len;
+    rebase(i);
+  }
+
+  // Every counted world fills its own slice of the pool, in parallel. A
+  // run whose length disagrees with its count (stored closure or label
+  // counts that do not match the condensation) stops the world before it
+  // writes past its slice, and fails the build.
+  std::vector<uint8_t> bad(counted.size(), 0);
+  ParallelForChunks(
+      0, counted.size(), 1, [&](uint32_t, uint64_t begin, uint64_t end) {
+        ComponentSketcher worker(salt, k);
+        for (uint64_t j = begin; j < end; ++j) {
+          const uint32_t i = counted[j];
+          const Condensation& cond = index.world(i);
+          const uint64_t* table = offsets.data() + base[i];
+          uint64_t* slice = entries + entry_base[i];
+          for (uint32_t c = 0; c < cond.num_components(); ++c) {
+            const auto run = worker.Build(cond, i, c, [&](uint32_t s) {
+              return std::span<const uint64_t>(slice + table[s],
+                                               slice + table[s + 1]);
+            });
+            if (run.size() != table[c + 1] - table[c]) {
+              bad[j] = 1;
+              break;
+            }
+            std::copy(run.begin(), run.end(), slice + table[c]);
+          }
+          if (!bad[j]) rebase(i);
+        }
+      });
+  for (size_t j = 0; j < counted.size(); ++j) {
+    if (bad[j]) {
+      return Status::InvalidArgument(
+          "world " + std::to_string(counted[j]) +
+          " reach counts disagree with its condensation; cannot size its "
+          "sketches");
+    }
+  }
+  oracle.sketch_offsets_ = offsets;
+  oracle.entries_ = std::span<const uint64_t>(entries, entry_base[w]);
   return oracle;
 }
 
@@ -196,56 +358,6 @@ double SketchSpreadOracle::EstimateMerged(
   return static_cast<double>(k_ - 1) / NormalizedRank(merged[k_ - 1]);
 }
 
-namespace {
-
-// Streams the k smallest distinct ranks of sorted runs `a` and `b` into
-// `out` (caller-sized to >= k), returning how many were written. Bottom-k
-// sketches are closed under this: the union's bottom-k is the k-truncated
-// merge of the parts' bottom-k runs, so capping at k loses nothing and
-// keeps every query O(k) per run instead of sorting the concatenation.
-// Shared descendants contribute the same rank through several runs;
-// min-wise semantics require deduplication. Once one run exhausts, the
-// other's tail is a block copy.
-size_t MergeBottomK(std::span<const uint64_t> a, std::span<const uint64_t> b,
-                    uint32_t k, uint64_t* out) {
-  const size_t na = a.size();
-  const size_t nb = b.size();
-  size_t i = 0;
-  size_t j = 0;
-  size_t o = 0;
-  while (o < k) {
-    if (i < na && j < nb) {
-      const uint64_t va = a[i];
-      const uint64_t vb = b[j];
-      if (va < vb) {
-        out[o++] = va;
-        ++i;
-      } else if (vb < va) {
-        out[o++] = vb;
-        ++j;
-      } else {
-        out[o++] = va;
-        ++i;
-        ++j;
-      }
-    } else if (i < na) {
-      const size_t take = std::min<size_t>(k - o, na - i);
-      std::copy_n(a.data() + i, take, out + o);
-      o += take;
-      break;
-    } else if (j < nb) {
-      const size_t take = std::min<size_t>(k - o, nb - j);
-      std::copy_n(b.data() + j, take, out + o);
-      o += take;
-      break;
-    } else {
-      break;
-    }
-  }
-  return o;
-}
-
-}  // namespace
 
 Result<double> SketchSpreadOracle::EstimateSpread(
     std::span<const NodeId> seeds) const {

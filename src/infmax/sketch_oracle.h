@@ -2,6 +2,7 @@
 #define SOI_INFMAX_SKETCH_ORACLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,7 +26,11 @@ namespace soi {
 ///
 /// with exact counting when fewer than k ranks are reachable. Sketches are
 /// built bottom-up over each condensation DAG (children before parents, by
-/// the Tarjan id invariant), so construction is O(total DAG size * k).
+/// the Tarjan id invariant), so construction is O(total DAG size * k). The
+/// worlds build in parallel on the thread budget, each into its own slice
+/// of one pool: ranks are distinct within a world, so a component's sketch
+/// holds exactly min(k, |R(c)|) ranks, and the closure and labels tiers
+/// count R(c) in O(1). The pools are identical at every thread budget.
 ///
 /// Compared to SpreadOracle this trades exactness for O(k log) query time
 /// independent of cascade size; BENCH_sketch.json quantifies the trade
@@ -52,6 +57,9 @@ class SketchSpreadOracle : public SpreadEstimator {
  public:
   /// Builds per-(world, component) sketches over the index's worlds.
   /// `index` must outlive the oracle; `rng` seeds the rank assignment.
+  /// Opens a parallel region. Fails with InvalidArgument when a world's
+  /// stored reach counts disagree with its condensation (a damaged
+  /// snapshot), without writing outside that world's slice.
   static Result<SketchSpreadOracle> Build(const CascadeIndex& index,
                                           const SketchOptions& options,
                                           Rng* rng);
@@ -148,7 +156,7 @@ class SketchSpreadOracle : public SpreadEstimator {
   // anchored storage.
   std::vector<uint64_t> world_base_;            // world -> offset table start
   std::vector<uint64_t> own_offsets_;
-  std::vector<uint64_t> own_entries_;
+  std::unique_ptr<uint64_t[]> own_entries_;
   std::span<const uint64_t> sketch_offsets_;    // flattened comp offsets
   std::span<const uint64_t> entries_;           // sorted ranks per sketch
   // FromParts mode: one slot per world for CheckWorld. Empty when built.

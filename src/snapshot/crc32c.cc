@@ -3,6 +3,11 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define SOI_CRC32C_SSE42 1
+#endif
+
 namespace soi {
 
 namespace {
@@ -34,9 +39,52 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+#ifdef SOI_CRC32C_SSE42
+// The instruction computes the same reflected CRC-32C as the tables, so the
+// head/body/tail split mirrors the portable loop.
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
+    uint32_t crc, const void* data, size_t size) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint32_t c = ~crc;
+  while (size > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    c = _mm_crc32_u8(c, *p++);
+    --size;
+  }
+  uint64_t wide = c;
+  while (size >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    wide = _mm_crc32_u64(wide, word);
+    p += 8;
+    size -= 8;
+  }
+  c = static_cast<uint32_t>(wide);
+  while (size > 0) {
+    c = _mm_crc32_u8(c, *p++);
+    --size;
+  }
+  return ~c;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+ExtendFn ResolveExtend() {
+#ifdef SOI_CRC32C_SSE42
+  __builtin_cpu_init();  // may run before the CPU-model constructor
+  if (__builtin_cpu_supports("sse4.2")) return &Crc32cExtendSse42;
+#endif
+  return &Crc32cExtendPortable;
+}
+
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size) {
+  static const ExtendFn extend = ResolveExtend();
+  return extend(crc, data, size);
+}
+
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t size) {
   const auto& t = Tables().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   crc = ~crc;

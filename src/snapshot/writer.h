@@ -45,17 +45,25 @@ struct SnapshotWriteOptions {
 ///
 /// The writer works from the mode-independent span accessors, so it can
 /// round-trip a snapshot-backed (borrowed) state as well as an owned one.
+/// Nothing is copied into pools: each pooled section is staged as the list
+/// of its worlds' arrays. Only the packed closure pools are built, sized
+/// exactly per world first and then encoded world by world into their own
+/// slices on the thread budget (runtime/parallel_for.h), as are the section
+/// checksums. The bytes do not depend on the thread budget. The returned
+/// string is reserved at the file size once.
 Result<std::string> SerializeSnapshot(const ProbGraph& graph,
                                       const CascadeIndex& index,
                                       const SnapshotWriteOptions& options = {});
 
 /// Serializes and writes atomically and durably: the bytes go to
-/// `path + ".tmp"` (a leftover one from a killed writer is overwritten),
-/// which is fsync'ed, renamed over `path`, and the directory fsync'ed. So a
-/// crashed create never leaves a half-written snapshot at the target path,
-/// a concurrent server hot-reloading the path never maps a torn file, and a
-/// returned OK survives power loss. A failed write or file sync removes the
-/// temp file and returns IOError.
+/// `path + ".tmp"` (a leftover one from a killed writer is overwritten) in
+/// large writev calls straight from the staged arrays, resuming after short
+/// writes and EINTR; the temp file is fsync'ed, renamed over `path`, and
+/// the directory fsync'ed. So a crashed create never leaves a half-written
+/// snapshot at the target path, a concurrent server hot-reloading the path
+/// never maps a torn file, and a returned OK survives power loss. Invalid
+/// inputs fail before any file is created; a failed write or file sync
+/// removes the temp file, leaves `path` as it was and returns IOError.
 Status WriteSnapshot(const ProbGraph& graph, const CascadeIndex& index,
                      const std::string& path,
                      const SnapshotWriteOptions& options = {});

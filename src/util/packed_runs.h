@@ -26,17 +26,25 @@ namespace soi {
 /// Borrowed() wraps spans into an external read-only mapping (snapshot
 /// sections) with zero copy.
 
-/// Appends the LEB128 encoding of `v` to `out`.
-inline void AppendVarint(uint32_t v, std::vector<uint8_t>* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(v));
-}
-
 /// Appends the delta-varint encoding of a strictly ascending run.
 void AppendPackedRun(std::span<const uint32_t> run, std::vector<uint8_t>* out);
+
+/// Encoded length of back-to-back strictly ascending runs — run r is
+/// values[offsets[r], offsets[r + 1]), with offsets non-decreasing from 0
+/// to values.size() — as EncodePackedRuns writes them.
+/// One branch-free pass over all the values (run starts are fixed up
+/// after), so it vectorizes and short runs cost no call each: sizing a
+/// buffer costs a fraction of filling it.
+uint64_t PackedRunsSize(std::span<const uint32_t> values,
+                        std::span<const uint64_t> offsets);
+
+/// Writes back-to-back runs, each encoded as AppendPackedRun would, at
+/// `out`, which must hold PackedRunsSize(values, offsets) bytes; returns
+/// the end. Never writes past it, so disjoint slices of one buffer can be
+/// filled concurrently (snapshot/writer.cc encodes each world into its own
+/// slice). DecodePackedRuns is the inverse.
+uint8_t* EncodePackedRuns(std::span<const uint32_t> values,
+                          std::span<const uint64_t> offsets, uint8_t* out);
 
 /// Sequential decoder over one encoded run. The caller supplies the element
 /// count (packed storage keeps element offsets separately — e.g. the closure

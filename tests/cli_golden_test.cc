@@ -65,12 +65,8 @@ struct CliRun {
   std::string stdout_text;
 };
 
-// Runs soi_cli with `args`, capturing stdout (stderr is dropped: it carries
-// only the "metrics: ..." notices and warnings, which are not part of the
-// golden contract). `wrapper` prefixes the command (e.g. `timeout`).
-CliRun RunCli(const std::string& args, const std::string& wrapper = "") {
-  const std::string command = wrapper + "'" + SOI_CLI_PATH + "' " + args +
-                              " 2>/dev/null";
+// Runs a shell command, capturing its stdout.
+CliRun RunCommand(const std::string& command) {
   CliRun run;
   std::FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -82,6 +78,14 @@ CliRun RunCli(const std::string& args, const std::string& wrapper = "") {
   const int status = pclose(pipe);
   run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return run;
+}
+
+// Runs soi_cli with `args`, capturing stdout (stderr is dropped: it carries
+// only the "metrics: ..." notices and warnings, which are not part of the
+// golden contract). `wrapper` prefixes the command (e.g. `timeout`).
+CliRun RunCli(const std::string& args, const std::string& wrapper = "") {
+  return RunCommand(wrapper + "'" + SOI_CLI_PATH + "' " + args +
+                    " 2>/dev/null");
 }
 
 // The one nondeterministic token in `index` stdout is the build wall time.
@@ -174,6 +178,30 @@ TEST(CliGoldenTest, KilledIndexWriteLeavesOldOrNewSnapshot) {
   ASSERT_EQ(RunCli(create).exit_code, 0);
   EXPECT_EQ(ReadFileOrDie(path), new_bytes);
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+// A create whose write fails midway exits non-zero with an IOError,
+// removes its temp file and leaves the snapshot already at the path as it
+// was. The failure is real: the child shell's file-size limit (64 blocks,
+// well under the ~400 KiB file) cuts the write short, and with SIGXFSZ
+// ignored the next write returns EFBIG instead of killing the process.
+// The limit applies to that child alone.
+TEST(CliGoldenTest, FailedSnapshotWriteKeepsOldFileAndRemovesTemp) {
+  const std::string path = testing::TempDir() + "cli_golden_efbig.soisnap";
+  const std::string old_bytes =
+      ReadFileOrDie(GoldenPath("index.soisnap.golden"));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << old_bytes;
+  std::remove((path + ".tmp").c_str());
+  const CliRun run = RunCommand(
+      "(trap '' XFSZ; ulimit -f 64; exec '" + std::string(SOI_CLI_PATH) +
+      "' snapshot create " + GraphFlags() + " --threads 1 --out '" + path +
+      "') 2>&1");
+  EXPECT_NE(run.exit_code, 0) << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find("IOError"), std::string::npos)
+      << run.stdout_text;
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_EQ(ReadFileOrDie(path), old_bytes);
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 // (util/arena.h): encode/decode round trips, validation rejections, and
 // byte-identical cover-engine selections across encodings.
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -83,14 +84,57 @@ TEST(PackedRunTest, ValidateRejectsMalformedBytes) {
   // Overlong varint: 6 continuation bytes exceed the uint32 width.
   const std::vector<uint8_t> overlong = {0x80, 0x80, 0x80, 0x80, 0x80, 0x01};
   EXPECT_FALSE(ValidatePackedRun(overlong, 1, 1u << 20));
-  // Delta pushing past UINT32_MAX.
-  std::vector<uint8_t> wrap;
-  AppendVarint(0xFFFFFFFFu, &wrap);
-  AppendVarint(0, &wrap);  // next value would be 2^32
+  // Delta pushing past UINT32_MAX: varint(0xFFFFFFFF), then varint(0),
+  // so the next value would be 2^32.
+  const std::vector<uint8_t> wrap = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00};
   EXPECT_FALSE(ValidatePackedRun(wrap, 2, uint64_t{1} << 33));
   // Empty run: valid at count 0.
   EXPECT_TRUE(ValidatePackedRun({}, 0, 1));
   EXPECT_FALSE(ValidatePackedRun({}, 1, 1));
+}
+
+// Back-to-back runs, as the snapshot writer packs a world's closure: the
+// exact size, the bytes (each run as AppendPackedRun writes it), not one
+// byte written past the end, and DecodePackedRuns reading them back. The
+// runs mix empty runs, runs of one value and every varint length.
+TEST(PackedRunsTest, EncodesBackToBackRunsIntoExactBuffers) {
+  std::mt19937 gen(7);
+  std::vector<uint32_t> values;
+  std::vector<uint64_t> offsets = {0};
+  std::vector<uint8_t> expected;
+  for (int r = 0; r < 300; ++r) {
+    std::vector<uint32_t> run;
+    const uint32_t len = r % 7 == 0 ? 0 : gen() % 40 + 1;
+    std::uniform_int_distribution<uint32_t> gap(1, 1u << (r % 30 + 1));
+    uint64_t v = gap(gen) - 1;
+    while (run.size() < len && v <= 0xFFFFFFFFu) {
+      run.push_back(static_cast<uint32_t>(v));
+      v += gap(gen);
+    }
+    AppendPackedRun(run, &expected);
+    values.insert(values.end(), run.begin(), run.end());
+    offsets.push_back(values.size());
+  }
+  const uint64_t size = PackedRunsSize(values, offsets);
+  ASSERT_EQ(size, expected.size());
+  constexpr uint8_t kGuard = 0xA5;
+  std::vector<uint8_t> buffer(size + 8, kGuard);
+  const uint8_t* end = EncodePackedRuns(values, offsets, buffer.data());
+  ASSERT_EQ(end, buffer.data() + size);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), buffer.begin()));
+  for (size_t i = size; i < buffer.size(); ++i) {
+    EXPECT_EQ(buffer[i], kGuard) << "wrote past the end at " << i;
+  }
+  std::vector<uint32_t> decoded(values.size());
+  uint64_t consumed = 0;
+  ASSERT_TRUE(DecodePackedRuns(expected, offsets, uint64_t{1} << 32,
+                               decoded.data(), &consumed));
+  EXPECT_EQ(consumed, size);
+  EXPECT_EQ(decoded, values);
+  // Nothing at all: zero bytes, and nothing written.
+  const std::vector<uint64_t> none = {0, 0, 0};
+  EXPECT_EQ(PackedRunsSize({}, none), 0u);
+  EXPECT_EQ(EncodePackedRuns({}, none, buffer.data()), buffer.data());
 }
 
 TEST(PackedRunsTest, ArenaAddAppendAndBorrow) {

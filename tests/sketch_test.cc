@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include "cascade/threshold.h"
 #include "gen/generators.h"
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
 #include "infmax/sketch_oracle.h"
 #include "infmax/spread_estimator.h"
 #include "infmax/spread_oracle.h"
+#include "reference_sketch.h"
 #include "reliability/reliability.h"
+#include "runtime/parallel_for.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -338,6 +341,64 @@ TEST(SketchOracleTest, CalibrationMeasuredErrorWithinTwiceBound) {
     ASSERT_GT(count, 10);
     EXPECT_LT(total_rel_err / count, 2.0 * bound) << "k=" << k;
   }
+}
+
+// An index whose worlds sit on all three tiers: the greedy tier pass,
+// given exactly what world 0's closure and world 1's labels cost,
+// materializes world 0, labels world 1 and leaves the rest on traversal.
+CascadeIndex MixedTierIndex(const ProbGraph& g, PropagationModel model,
+                            uint32_t worlds, uint64_t seed) {
+  CascadeIndexOptions options;
+  options.num_worlds = worlds;
+  options.model = model;
+  Rng rng(seed);
+  auto built = CascadeIndex::Build(g, options, &rng);
+  EXPECT_TRUE(built.ok());
+  CascadeIndex index = std::move(built).value();
+  const uint64_t mat0 = index.closure(0).ApproxBytes();
+  index.RebuildClosureTiersBytes(uint64_t{1} << 30,
+                                 ClosureTierPolicy::kLabels);
+  const uint64_t lab1 = index.labels(1).ApproxBytes();
+  index.RebuildClosureTiersBytes(mat0 + lab1, ClosureTierPolicy::kAuto);
+  return index;
+}
+
+// The build sizes every closure- and labels-tier world from its reach
+// counts and fills the worlds on the thread budget; traversal worlds are
+// built first, in order. The pools must equal the sequential build's at
+// every budget, under both models, for k below and above the reach sizes.
+TEST(SketchOracleTest, PoolsMatchSequentialBuildAtEveryThreadBudget) {
+  const ProbGraph ic = RandomTestGraph(150, 600, 41);
+  const auto lt = NormalizeLtWeights(ic);
+  ASSERT_TRUE(lt.ok());
+  const CascadeIndex indexes[2] = {
+      MixedTierIndex(ic, PropagationModel::kIndependentCascade, 12, 42),
+      MixedTierIndex(*lt, PropagationModel::kLinearThreshold, 12, 43)};
+  for (const CascadeIndex& index : indexes) {
+    ASSERT_EQ(index.tier(0), WorldTier::kMaterialized);
+    ASSERT_EQ(index.tier(1), WorldTier::kLabels);
+    ASSERT_EQ(index.stats().worlds_traversal, index.num_worlds() - 2);
+    for (uint32_t k : {3u, 8u, 200u}) {
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        SetGlobalThreads(threads);
+        const auto oracle = SketchSpreadOracle::BuildDeterministic(index, k, 9);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        const reference::SketchPools expected =
+            reference::SequentialSketchPools(index, k, oracle->salt());
+        const auto offsets = oracle->offsets_view();
+        const auto entries = oracle->entries_view();
+        EXPECT_TRUE(std::equal(offsets.begin(), offsets.end(),
+                               expected.offsets.begin(),
+                               expected.offsets.end()))
+            << "k=" << k << " threads=" << threads;
+        EXPECT_TRUE(std::equal(entries.begin(), entries.end(),
+                               expected.entries.begin(),
+                               expected.entries.end()))
+            << "k=" << k << " threads=" << threads;
+      }
+    }
+  }
+  SetGlobalThreads(0);
 }
 
 }  // namespace

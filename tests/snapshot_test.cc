@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,23 +213,65 @@ void ExpectClosureRejectedOnFirstUse(const std::string& pristine,
   }
 }
 
+// Both CRC-32C paths: the dispatched one (the `crc32` instruction where the
+// CPU has SSE4.2) and the portable slice-by-8 one.
+using Crc32cExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+const Crc32cExtendFn kCrcPaths[] = {&Crc32cExtend, &Crc32cExtendPortable};
+
 TEST(Crc32cTest, MatchesKnownVectors) {
-  // The canonical CRC-32C check value (RFC 3720 appendix B.4).
-  const char digits[] = "123456789";
-  EXPECT_EQ(Crc32c(digits, 9), 0xE3069283u);
-  EXPECT_EQ(Crc32c("", 0), 0u);
-  // 32 zero bytes, another published vector.
-  const std::string zeros(32, '\0');
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  for (const Crc32cExtendFn crc : kCrcPaths) {
+    // The canonical CRC-32C check value (RFC 3720 appendix B.4).
+    const char digits[] = "123456789";
+    EXPECT_EQ(crc(0, digits, 9), 0xE3069283u);
+    EXPECT_EQ(crc(0, "", 0), 0u);
+    // 32 zero bytes, another published vector.
+    const std::string zeros(32, '\0');
+    EXPECT_EQ(crc(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+  }
 }
 
 TEST(Crc32cTest, ExtendComposesLikeOneShot) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
   const uint32_t whole = Crc32c(data.data(), data.size());
-  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{20}}) {
-    uint32_t crc = Crc32cExtend(0, data.data(), split);
-    crc = Crc32cExtend(crc, data.data() + split, data.size() - split);
-    EXPECT_EQ(crc, whole) << "split at " << split;
+  for (const Crc32cExtendFn extend : kCrcPaths) {
+    for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{20}}) {
+      uint32_t crc = extend(0, data.data(), split);
+      crc = extend(crc, data.data() + split, data.size() - split);
+      EXPECT_EQ(crc, whole) << "split at " << split;
+    }
+  }
+}
+
+// The paths split a buffer differently (byte head to an 8-byte boundary,
+// 8-byte body, byte tail), so they are held against each other at every
+// start alignment 0-7 and every length 0-4096, on a 3 MiB buffer, and
+// chained through Crc32cExtend at random split points.
+TEST(Crc32cTest, DispatchedAndPortablePathsAgree) {
+  std::vector<uint64_t> words((3 << 20) / 8 + 1);  // 8-byte aligned base
+  Rng rng(77);
+  for (uint64_t& word : words) word = rng.Next();
+  const uint8_t* const bytes = reinterpret_cast<const uint8_t*>(words.data());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32cExtend(0, bytes + align, len),
+                Crc32cExtendPortable(0, bytes + align, len))
+          << "alignment " << align << " length " << len;
+    }
+  }
+  const size_t big = size_t{3} << 20;
+  const uint32_t whole = Crc32cExtendPortable(0, bytes, big);
+  EXPECT_EQ(Crc32c(bytes, big), whole);
+  for (int trial = 0; trial < 8; ++trial) {
+    uint32_t dispatched = 0;
+    uint32_t portable = 0;
+    for (size_t at = 0; at < big;) {
+      const size_t take = std::min<size_t>(rng.NextBounded(100000), big - at);
+      dispatched = Crc32cExtend(dispatched, bytes + at, take);
+      portable = Crc32cExtendPortable(portable, bytes + at, take);
+      at += take;
+    }
+    EXPECT_EQ(dispatched, whole) << "trial " << trial;
+    EXPECT_EQ(portable, whole) << "trial " << trial;
   }
 }
 
@@ -1272,6 +1315,111 @@ TEST(SnapshotFirstUseTest, ConcurrentFirstTouchDecodesEachWorldOnce) {
   // Published once: later touches decode nothing.
   ASSERT_TRUE(cold->PrepareAllWorlds().ok());
   EXPECT_EQ(WorldsDecoded() - decoded_before, cold->num_worlds());
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The writer packs closures and checksums sections on the thread budget,
+// and the sketch tier builds its worlds there; no byte may depend on it.
+// IC and LT indexes hold materialized, labels and traversal worlds, with a
+// typical table and a sketch tier built at the same budget. SerializeSnapshot
+// must give the same bytes at budgets 1, 2 and 8 — the bytes the writer gave
+// before it went parallel, pinned by digest — in both closure encodings, and
+// WriteSnapshot must put exactly those bytes in the file.
+TEST(SnapshotWriterTest, BytesIdenticalAcrossThreadBudgets) {
+  struct Case {
+    PropagationModel model;
+    bool pack;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {PropagationModel::kIndependentCascade, true, 0xa052b869e4eeb78bull},
+      {PropagationModel::kIndependentCascade, false, 0x7fc433884190227aull},
+      {PropagationModel::kLinearThreshold, true, 0x9834ec5ec2128478ull},
+      {PropagationModel::kLinearThreshold, false, 0xc58effff5b33408cull},
+  };
+  for (const Case& c : cases) {
+    SetGlobalThreads(1);
+    const ProbGraph graph = RandomGraph(120, 600, 61, c.model);
+    CascadeIndex index = BuildIndex(graph, c.model, /*worlds=*/16, /*seed=*/5);
+    index.RebuildClosureTiersBytes(MixedTierBudget(&index),
+                                   ClosureTierPolicy::kAuto);
+    ASSERT_EQ(index.stats().worlds_materialized, 1u);
+    ASSERT_EQ(index.stats().worlds_labeled, 1u);
+    ASSERT_EQ(index.stats().worlds_traversal, index.num_worlds() - 2);
+    TypicalCascadeComputer computer(&index);
+    const auto sweep = computer.ComputeAllFlat();
+    ASSERT_TRUE(sweep.ok());
+    std::string expected;
+    for (const uint32_t threads : {1u, 2u, 8u}) {
+      SetGlobalThreads(threads);
+      const auto sketches = SketchSpreadOracle::BuildDeterministic(index, 8, 3);
+      ASSERT_TRUE(sketches.ok());
+      SnapshotWriteOptions options;
+      options.model = c.model;
+      options.pack = c.pack;
+      options.typical = &sweep->cascades;
+      options.sketches = &*sketches;
+      const auto bytes = SerializeSnapshot(graph, index, options);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      if (threads == 1) {
+        expected = *bytes;
+        EXPECT_EQ(Fnv1a(expected), c.digest)
+            << "model " << static_cast<int>(c.model) << " pack " << c.pack;
+      } else {
+        EXPECT_TRUE(*bytes == expected) << "threads " << threads;
+      }
+      const std::string path = TempPath("threads.soisnap");
+      ASSERT_TRUE(WriteSnapshot(graph, index, path, options).ok());
+      std::ifstream in(path, std::ios::binary);
+      const std::string file((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      EXPECT_TRUE(file == expected) << "threads " << threads;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+// A sketch tier built over a snapshot sizes each closure world from the
+// file's closure offsets, before the world's runs are checked. Offsets
+// that pass the structural checks but disagree with the condensation fail
+// the build with InvalidArgument naming the world; no run is written past
+// its slice.
+TEST(SnapshotWriterTest, SketchBuildRefusesReachCountsThatDisagree) {
+  const ProbGraph graph = RandomGraph(80, 400, 71);
+  const CascadeIndex index =
+      BuildIndex(graph, PropagationModel::kIndependentCascade);
+  ASSERT_TRUE(index.has_closure_cache());
+  std::string bytes = SnapshotBytes(graph, index);
+  // Move the first element of world 0's run c to run c - 1, for a c - 1
+  // whose grown count stays within k = 64, so its sketch cannot fill the
+  // slice sized for it. Offsets stay non-decreasing and keep their total.
+  const ReachabilityClosure& cl = index.closure(0);
+  uint32_t c = 1;
+  while (c < cl.num_components() && cl.NodeCount(c - 1) >= 63) ++c;
+  ASSERT_LT(c, cl.num_components());
+  const SectionEntry offsets = FindSection(bytes, SectionKind::kClosureNodeOffsets);
+  uint64_t value = 0;
+  const size_t at = offsets.offset + sizeof(uint64_t) * c;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  ++value;
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  const auto snap = OpenBytes(Resealed(bytes), "skewed-counts.soisnap");
+  const auto borrowed = snap->MakeIndex();
+  ASSERT_TRUE(borrowed.ok()) << borrowed.status().ToString();
+  const auto sketches =
+      SketchSpreadOracle::BuildDeterministic(*borrowed, /*k=*/64, 1);
+  ASSERT_FALSE(sketches.ok());
+  EXPECT_EQ(sketches.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sketches.status().ToString().find("world 0"), std::string::npos)
+      << sketches.status().ToString();
 }
 
 TEST(SnapshotWriterTest, SketchesOverDifferentIndexAreRejected) {
